@@ -2,28 +2,30 @@
 
 Each site holds a state in {0..k}.  A site at the top state k resets to 0 at
 rate a; a site below k advances one state at rate (J^n * active)_x, the
-normalized kernel average of the current top-state indicator.  Events are
-drawn with the direct (Gillespie) method: exponential holding time at the
-total rate, then a site picked proportionally to its rate through a binary
-indexed tree.
+normalized kernel average of the current top-state indicator.
 
-Activation or deactivation of one site shifts the incoming intensity of
-every other site, so those events trigger a vectorized O(N) refresh; all
-other events leave the rate table untouched.  For constant kernels a
-class-based sampler with the same distribution avoids the O(N) refresh.
+Events are drawn by thinning (Lewis & Shedler 1979) over the partition of
+sites into active (top state) and passive ones.  Each active site proposes
+at its exact rate a; each passive site proposes at the common bound
+norm_inf * n_active / N on its intensity, and its proposal is accepted with
+probability intensity_x / bound.  A rejected proposal only moves the clock.
+Picking a site within either class is O(1).  Activation or deactivation of
+one site shifts every intensity by one kernel column, a vectorized O(N)
+update; all other events leave the intensities untouched.  With no active
+site the proposal rate is exactly zero, so the absorbing state absorbs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hydro import DensityField, ModelParams
 from .lattice import TorusLattice
-from .ratetree import RateTree
 
-REBUILD_PERIOD = 1 << 20  # full refresh cadence bounding float drift in the tree
+REBUILD_PERIOD = 1 << 20  # full refresh cadence bounding float drift in the intensities
 
 
 def replica_rng(master_seed, *key) -> np.random.Generator:
@@ -82,10 +84,10 @@ def rates_from_scratch(config: SpinConfig, params: ModelParams):
 
 
 class Simulation:
-    """Mutable simulation state: configuration, rate table, event clock.
+    """Mutable simulation state: configuration, intensities, event clock.
 
     A single instance is strictly sequential.  Observation times never
-    consume randomness: the pending event time survives across
+    consume randomness: the pending proposal time survives across
     ``simulate_until`` calls, so splitting one run into several calls with
     the same generator reproduces the exact same path.
     """
@@ -98,48 +100,30 @@ class Simulation:
         self.params = params
         self.time = 0.0
         self.events = 0
-        self._pending = None  # scheduled next event time, not yet fired
-        self._const = params.kernel.constant_value
-        if self._const is not None:
-            self._init_class_sampler()
-        else:
-            self.intensity, self.rate = rates_from_scratch(config, params)
-            self.tree = RateTree(self.rate)
+        self._pending = None  # time of the next proposal, not yet made
+        n = config.lattice.n_sites
+        active = config.active_mask()
+        # active sites first, then passive; _pos inverts _members
+        self._members = np.concatenate([np.flatnonzero(active), np.flatnonzero(~active)])
+        self._pos = np.empty(n, dtype=np.int64)
+        self._pos[self._members] = np.arange(n)
+        self._n_active = int(np.count_nonzero(active))
+        self.intensity, _ = rates_from_scratch(config, params)
+        # a passive intensity is at most norm_inf / N per active site
+        self._unit_bound = params.kernel.norm_inf / n
 
     # -- rate bookkeeping ------------------------------------------------
 
-    def _init_class_sampler(self):
-        n = self.config.lattice.n_sites
-        active = np.flatnonzero(self.config.active_mask())
-        self._members = np.concatenate([active, np.setdiff1d(np.arange(n), active)]).astype(np.int64)
-        self._pos = np.empty(n, dtype=np.int64)
-        self._pos[self._members] = np.arange(n)
-        self._n_active = len(active)
-
-    def _passive_unit_rate(self) -> float:
-        # constant kernel: every passive site sees the same intensity
-        n = self.config.lattice.n_sites
-        return self._const * self._n_active / n
-
-    @property
-    def total_rate(self) -> float:
-        if self._const is not None:
-            n = self.config.lattice.n_sites
-            return self.params.a * self._n_active + self._passive_unit_rate() * (n - self._n_active)
-        return self.tree.total
-
     def rate_state(self):
         """Current (intensity, rate, total) as maintained incrementally."""
-        if self._const is not None:
-            active = self.config.active_mask()
-            n = self.config.lattice.n_sites
-            intensity = self._const * (self._n_active - active.astype(int)) / n
-            rate = np.where(active, self.params.a, intensity)
-            return intensity, rate, self.total_rate
-        return self.intensity, self.rate, self.total_rate
+        rate = np.where(self.config.active_mask(), self.params.a, self.intensity)
+        return self.intensity, rate, float(rate.sum())
 
     def check_integrity(self, rtol=1e-8):
-        """Incrementally maintained rates vs from-scratch recomputation."""
+        """Incrementally maintained state vs from-scratch recomputation."""
+        active = np.flatnonzero(self.config.active_mask())
+        if not np.array_equal(np.sort(self._members[:self._n_active]), active):
+            raise AssertionError("active partition drifted from the configuration")
         intensity, rate, total = self.rate_state()
         ref_i, ref_r = rates_from_scratch(self.config, self.params)
         scale = max(np.max(ref_r), 1.0)
@@ -150,87 +134,83 @@ class Simulation:
         if abs(total - ref_r.sum()) > rtol * max(ref_r.sum(), 1.0):
             raise AssertionError("total rate drifted from recomputation")
 
-    def _swap_to_active(self, x):
-        p, boundary = self._pos[x], self._n_active
-        other = self._members[boundary]
-        self._members[boundary], self._members[p] = x, other
-        self._pos[x], self._pos[other] = boundary, p
-        self._n_active += 1
-
-    def _swap_to_passive(self, x):
-        boundary = self._n_active - 1
+    def _swap(self, x, slot):
+        """Exchange site x with the site at partition slot ``slot``."""
         p = self._pos[x]
-        other = self._members[boundary]
-        self._members[boundary], self._members[p] = x, other
-        self._pos[x], self._pos[other] = boundary, p
-        self._n_active -= 1
+        other = self._members[slot]
+        self._members[slot], self._members[p] = x, other
+        self._pos[x], self._pos[other] = slot, p
 
     def _apply_jump(self, x):
         sigma = self.config.sigma
+        k = self.params.k
         old = int(sigma[x])
-        new = (old + 1) % (self.k_plus_1)
+        new = (old + 1) % (k + 1)
         sigma[x] = new
-        toggled = (old == self.params.k) or (new == self.params.k)
-        if self._const is not None:
-            if old == self.params.k:
-                self._swap_to_passive(x)
-            elif new == self.params.k:
-                self._swap_to_active(x)
-            return
-        if toggled:
-            col = self.params.kernel.col(x) / self.config.lattice.n_sites
-            if new == self.params.k:
-                self.intensity += col
-            else:
-                self.intensity -= col
-            np.maximum(self.intensity, 0.0, out=self.intensity)
-            self.rate = np.where(self.config.sigma == self.params.k, self.params.a, self.intensity)
-            self.tree.rebuild(self.rate)
+        if old == k:
+            self._n_active -= 1
+            self._swap(x, self._n_active)
+            self.intensity -= self.params.kernel.col(x) / self.config.lattice.n_sites
+            if self._n_active == 0:
+                self.intensity[:] = 0.0  # no float residue outlives the last active site
+        elif new == k:
+            self._swap(x, self._n_active)
+            self._n_active += 1
+            self.intensity += self.params.kernel.col(x) / self.config.lattice.n_sites
         if self.events % REBUILD_PERIOD == 0:
-            self.intensity, self.rate = rates_from_scratch(self.config, self.params)
-            self.tree.rebuild(self.rate)
-
-    @property
-    def k_plus_1(self):
-        return self.params.k + 1
+            self.intensity, _ = rates_from_scratch(self.config, self.params)
 
     # -- event generation --------------------------------------------------
 
     @property
     def absorbed(self) -> bool:
-        return self.total_rate <= 0.0
+        return self._n_active == 0
 
-    def _select_site(self, rng) -> int:
-        if self._const is None:
-            return self.tree.select(rng.random() * self.tree.total)
-        u = rng.random() * self.total_rate
-        a_block = self.params.a * self._n_active
-        if u < a_block:
-            j = min(int(u / self.params.a), self._n_active - 1)
-            return int(self._members[j])
-        unit = self._passive_unit_rate()
-        n = self.config.lattice.n_sites
-        j = min(int((u - a_block) / unit), n - self._n_active - 1)
-        return int(self._members[self._n_active + j])
+    def _proposal_rate(self) -> float:
+        n_act = self._n_active
+        return n_act * (self.params.a + self._unit_bound * (len(self._members) - n_act))
+
+    def _propose(self, rng):
+        """One proposal: the site that fires, or None when thinning rejects it."""
+        n_act = self._n_active
+        a = self.params.a
+        u = rng.random() * self._proposal_rate()
+        if u < a * n_act:
+            return int(self._members[min(int(u / a), n_act - 1)])
+        bound = self._unit_bound * n_act
+        j = min(int((u - a * n_act) / bound), len(self._members) - n_act - 1)
+        x = int(self._members[n_act + j])
+        return x if rng.random() * bound < self.intensity[x] else None
+
+    def _fire_next(self, rng, horizon=math.inf):
+        """Fire the next accepted event at or before ``horizon``; its site, or None.
+
+        None means the process is absorbed or the next proposal lies past the
+        horizon; that proposal time then stays pending.
+        """
+        while not self.absorbed:
+            if self._pending is None:
+                self._pending = self.time + rng.exponential(1.0 / self._proposal_rate())
+            if self._pending > horizon:
+                return None
+            self.time, self._pending = self._pending, None
+            site = self._propose(rng)
+            if site is not None:
+                self.events += 1
+                self._apply_jump(site)
+                return site
+        return None
 
     def step(self, rng):
         """Fire one event: returns (site, holding_time), or None when absorbed.
 
-        Absorption (no site at the top state, hence zero total rate) is a
-        terminal outcome of the dynamics, not an error.
+        The holding time includes the time spent on rejected proposals.
+        Absorption (no site at the top state) is a terminal outcome of the
+        dynamics, not an error.
         """
-        R = self.total_rate
-        if R <= 0.0:
-            return None
-        if self._pending is None:
-            self._pending = self.time + rng.exponential(1.0 / R)
-        site = self._select_site(rng)
-        holding = self._pending - self.time
-        self.time = self._pending
-        self._pending = None
-        self.events += 1
-        self._apply_jump(site)
-        return site, holding
+        start = self.time
+        site = self._fire_next(rng)
+        return None if site is None else (site, self.time - start)
 
     def simulate_until(self, times, rng):
         """Snapshots of the exact state at each requested time (sorted, >= current)."""
@@ -242,20 +222,9 @@ class Simulation:
             if t_obs < self.time:
                 raise ValueError(f"requested time {t_obs} lies before the current "
                                  f"clock {self.time}")
-            while True:
-                R = self.total_rate
-                if R <= 0.0:
-                    break
-                if self._pending is None:
-                    self._pending = self.time + rng.exponential(1.0 / R)
-                if self._pending > t_obs:
-                    break
-                site = self._select_site(rng)
-                self.time = self._pending
-                self._pending = None
-                self.events += 1
-                self._apply_jump(site)
+            while self._fire_next(rng, t_obs) is not None:
+                pass
             # the clock now certifies the state up to the observation time
-            self.time = max(self.time, t_obs)
+            self.time = t_obs
             snaps.append(Snapshot(t_obs, self.config.copy()))
         return snaps

@@ -91,13 +91,6 @@ class KernelSpec:
                              "continuum evaluator")
         return self._evaluate(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
-    @property
-    def constant_value(self):
-        """The constant c for the constant kernel, else None."""
-        if self.name == "constant":
-            return self.params["c"]
-        return None
-
     @classmethod
     def constant(cls, c=1.0):
         c = float(c)
@@ -237,10 +230,6 @@ class DiscreteKernel:
     @property
     def is_dense(self) -> bool:
         return self._matrix is not None
-
-    @property
-    def constant_value(self):
-        return self.spec.constant_value
 
     def row(self, x) -> np.ndarray:
         """Row J[x, :] with the diagonal entry zeroed."""

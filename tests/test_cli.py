@@ -150,6 +150,18 @@ def test_cli_threshold_failure_exit_code(tmp_path):
     assert meta["status"] == "fail"
 
 
+def test_lln_rate_d2_defaults_target_to_minus_d(tmp_path):
+    # the squared error decays as n^-d, so with no slope_target set a d=2
+    # run is held to -2, not to the d=1 slope
+    rc = main(["lln-rate", "--set", "d=2", "--set", "n_list=[4, 8, 16]",
+               "--set", "replicas=1000", "--out", str(tmp_path / "d2")])
+    summary = json.loads((tmp_path / "d2" / "run.json").read_text())["summary"]
+    assert summary["slope_target"] == -2.0
+    slopes = [v["slope"] for v in summary["slopes"].values()]
+    assert all(abs(s + 2.0) <= 0.25 for s in slopes), slopes
+    assert rc == 0
+
+
 def test_clt_check_emits_counts_and_optional_config_dump(tmp_path):
     small = ["replicas=500", "n_list=[16]", "times=[0.1]", "h=0.02"]
     cfg = load_config("clt-check", None, small + ["dump_configs=true"])
