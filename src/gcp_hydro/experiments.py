@@ -180,8 +180,9 @@ def validate(cfg) -> list:
         v.append("k: threshold state must be an integer >= 1")
     if not isinstance(cfg.get("a"), (int, float)) or cfg["a"] <= 0:
         v.append("a: recovery rate must be > 0")
+    spec = None
     try:
-        KernelSpec.from_config(cfg.get("kernel", {}), d=cfg.get("d", 1))
+        spec = KernelSpec.from_config(cfg.get("kernel", {}), d=cfg.get("d", 1))
     except Exception as exc:
         v.append(f"kernel: {exc}")
     profile = None
@@ -220,6 +221,14 @@ def validate(cfg) -> list:
         n_ref = cfg.get("n_ref", 0)
         if n_list and (not isinstance(n_ref, int) or any(n_ref % n for n in n_list)):
             v.append("n_ref: every study size must divide the reference size")
+    # a table fits one lattice only; concentration builds none
+    if (spec is not None and spec.table is not None and name != "concentration"
+            and isinstance(cfg.get("d"), int)):
+        sides = list(n_list) + ([cfg.get("n_ref")] if name == "hydro-converge" else [])
+        sizes = sorted({n ** cfg["d"] for n in sides if isinstance(n, int)})
+        if sizes and sizes != [spec.params["n_sites"]]:
+            v.append(f"kernel: tabulated kernel has {spec.params['n_sites']} sites, "
+                     f"the lattices have {sizes}")
     if name in ("qv-check", "entropy-exact") and n_list:
         states = (cfg.get("k", 1) + 1) ** (n_list[0] ** cfg.get("d", 1))
         if states > STATE_CAP:

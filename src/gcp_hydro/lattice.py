@@ -1,9 +1,12 @@
 """Torus geometry, interaction kernels, and the discrete convolutions built on them.
 
 Sites of the d-dimensional discrete torus of side n are indexed row-major
-(last coordinate fastest) and embedded into the unit torus at x/n.  A kernel
-is sampled onto site pairs with an explicitly zero diagonal; the resulting
-matrix backs the normalized convolutions used by every other module.
+(last coordinate fastest) and embedded into the unit torus at x/n.  A
+catalog kernel is a function of x - y, so it is sampled once on the N
+displacements of the lattice, with an explicitly zero diagonal.  Small
+lattices gather the dense circulant matrix from that sample; large ones
+convolve by FFT.  Tabulated kernels are always dense.  Either way the
+normalized convolutions serve every other module.
 """
 
 from __future__ import annotations
@@ -14,9 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Above this many sites the O(N^2) kernel matrix is not stored; rows are
-# evaluated on demand instead.
-DENSE_SITE_LIMIT = 4096
+# Up to this many sites a kernel is stored as the dense (N, N) matrix and
+# applied by matvec; above it by FFT.  Measured on a 2-vCPU Intel Xeon VM with
+# NumPy 2.4, one `conv` costs 17 us dense against 37-45 us FFT at N=256,
+# 82-92 us against 48-52 us at N=512 (d=1), and 240-290 us against 43-107 us
+# at N=1024; building the N=4096 kernel takes 2.3 s dense against 1.2 ms FFT.
+DENSE_SITE_LIMIT = 512
 
 
 @dataclass(frozen=True)
@@ -69,8 +75,11 @@ def _wrap_displacement(r):
 class KernelSpec:
     """Named nonnegative kernel on the unit torus with closed-form norm bounds.
 
-    ``norm_l1`` is sup_x of the y-integral of J(x, .) and ``norm_inf`` the
-    pointwise sup; both are exact for the catalog entries.
+    ``evaluate(x, y)`` must be a function of x - y alone: a lattice samples
+    it once on its displacements.  A kernel of arbitrary site pairs is what
+    ``tabulated`` is for.  ``norm_l1`` is sup_x of the y-integral of J(x, .)
+    and ``norm_inf`` the pointwise sup; both are exact for the catalog
+    entries.
     """
 
     def __init__(self, name, params, evaluate, norm_inf, norm_l1, table=None):
@@ -154,10 +163,14 @@ class KernelSpec:
         """Load a tabulated kernel from CSV rows (x-index, y-index, value)."""
         table = np.zeros((n_sites, n_sites))
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
+            reader = csv.reader(fh)
+            for row in reader:
                 if not row or row[0].strip().startswith("#"):
                     continue
                 x, y, v = int(row[0]), int(row[1]), float(row[2])
+                if not (0 <= x < n_sites and 0 <= y < n_sites):
+                    raise ValueError(f"{path}, line {reader.line_num}: site index "
+                                     f"({x}, {y}) outside [0, {n_sites})")
                 table[x, y] = v
         return cls.tabulated(table)
 
@@ -179,20 +192,21 @@ class KernelSpec:
 
 
 class DiscreteKernel:
-    """Kernel sampled on site pairs of one lattice, with zero diagonal.
+    """Kernel sampled on the site pairs of one lattice, with zero diagonal.
 
-    Stores the dense (N, N) matrix when N <= DENSE_SITE_LIMIT, otherwise
-    evaluates rows on the fly.  Immutable after construction.
+    A catalog kernel is sampled once as phi(r) = J(r/n, 0) on the N
+    displacements r, with phi(0) = 0.  At N <= DENSE_SITE_LIMIT, and for
+    tabulated kernels, the (N, N) matrix J[x, y] = phi(x - y) is stored and
+    applied by matvec; above the limit the convolutions are FFTs of phi.
+    Immutable after construction.
     """
 
-    def __init__(self, lattice: TorusLattice, spec: KernelSpec, dense=None):
+    def __init__(self, lattice: TorusLattice, spec: KernelSpec):
         self.lattice = lattice
         self.spec = spec
         n_sites = lattice.n_sites
-        if dense is None:
-            dense = n_sites <= DENSE_SITE_LIMIT
-        self._positions = lattice.positions()
-        self._matrix = None
+        self._axes = tuple(range(lattice.d))
+        self._matrix = self._phi = self._phi_hat = None
         if spec.table is not None:
             if spec.table.shape != (n_sites, n_sites):
                 raise ValueError("tabulated kernel shape does not match lattice "
@@ -201,18 +215,23 @@ class DiscreteKernel:
             np.fill_diagonal(m, 0.0)
             self._check_entries(m)
             self._matrix = m
-        elif dense:
-            m = spec.evaluate(self._positions[:, None, :], self._positions[None, :, :])
-            m = np.asarray(m, dtype=float)
-            np.fill_diagonal(m, 0.0)
-            self._check_entries(m)
-            self._matrix = m
-        if self._matrix is not None:
-            self.norm_1n = float(np.max(self._matrix.sum(axis=1))) / n_sites
-            self.norm_inf = float(np.max(self._matrix)) if n_sites > 1 else 0.0
+            self.norm_1n = float(np.max(m.sum(axis=1))) / n_sites
+            self.norm_inf = float(np.max(m))
+            return
+        phi = spec.evaluate(lattice.positions(), np.zeros(lattice.d))
+        phi = np.array(phi, dtype=float).reshape(lattice.shape)
+        phi[(0,) * lattice.d] = 0.0
+        self._check_entries(phi)
+        # every row of a circulant kernel sums to phi.sum(), so both norms are
+        # exact over sites
+        self.norm_1n = float(phi.sum()) / n_sites
+        self.norm_inf = float(phi.max())
+        if n_sites <= DENSE_SITE_LIMIT:
+            c = lattice.coords(np.arange(n_sites))
+            self._matrix = phi.ravel()[lattice.index(c[:, None, :] - c[None, :, :])]
         else:
-            self.norm_1n = self._scan_norm_1n()
-            self.norm_inf = spec.norm_inf
+            self._phi = phi
+            self._phi_hat = np.fft.rfftn(phi, axes=self._axes)
 
     @staticmethod
     def _check_entries(m):
@@ -224,77 +243,41 @@ class DiscreteKernel:
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            raise ValueError("kernel is in on-the-fly mode; no dense matrix stored")
+            raise ValueError(f"kernel on more than {DENSE_SITE_LIMIT} sites is applied "
+                             "by FFT; no dense matrix stored")
         return self._matrix
 
-    @property
-    def is_dense(self) -> bool:
-        return self._matrix is not None
-
-    def row(self, x) -> np.ndarray:
-        """Row J[x, :] with the diagonal entry zeroed."""
-        if self._matrix is not None:
-            return self._matrix[x]
-        r = self.spec.evaluate(self._positions[x], self._positions)
-        r = np.asarray(r, dtype=float)
-        self._check_entries(r)
-        r[x] = 0.0
-        return r
-
     def col(self, x) -> np.ndarray:
-        """Column J[:, x] with the diagonal entry zeroed."""
+        """Column J[:, x] = phi(. - x), with the diagonal entry zero."""
         if self._matrix is not None:
             return self._matrix[:, x]
-        c = self.spec.evaluate(self._positions, self._positions[x])
-        c = np.asarray(c, dtype=float)
-        self._check_entries(c)
-        c[x] = 0.0
-        return c
+        return np.roll(self._phi, self.lattice.coords(x), axis=self._axes).ravel()
 
-    def _scan_norm_1n(self, block=256):
-        n_sites = self.lattice.n_sites
-        best = 0.0
-        for start in range(0, n_sites, block):
-            stop = min(start + block, n_sites)
-            rows = self.spec.evaluate(self._positions[start:stop, None, :],
-                                      self._positions[None, :, :])
-            rows = np.asarray(rows, dtype=float)
-            rows[np.arange(start, stop) - start, np.arange(start, stop)] = 0.0
-            best = max(best, float(np.max(rows.sum(axis=1))))
-        return best / n_sites
-
-    def _apply(self, g, transpose):
+    def _apply(self, g, adjoint):
         g = np.asarray(g, dtype=float)
         n_sites = self.lattice.n_sites
         if g.shape[0] != n_sites:
             raise ValueError(f"field has {g.shape[0]} entries, lattice has {n_sites} sites")
         if self._matrix is not None:
-            m = self._matrix.T if transpose else self._matrix
+            m = self._matrix.T if adjoint else self._matrix
             return m @ g / n_sites
-        out = np.zeros_like(g, dtype=float)
-        for start in range(0, n_sites, 256):
-            stop = min(start + 256, n_sites)
-            rows = self.spec.evaluate(self._positions[start:stop, None, :],
-                                      self._positions[None, :, :])
-            rows = np.asarray(rows, dtype=float)
-            rows[np.arange(stop - start), np.arange(start, stop)] = 0.0
-            if transpose:
-                out += rows.T @ g[start:stop]
-            else:
-                out[start:stop] = rows @ g
-        return out / n_sites
+        # circular convolution with phi; the adjoint correlates with it instead
+        phi_hat = np.conj(self._phi_hat) if adjoint else self._phi_hat
+        shape = self.lattice.shape
+        g_hat = np.fft.rfftn(g.reshape(shape), axes=self._axes)
+        return np.fft.irfftn(phi_hat * g_hat, s=shape, axes=self._axes).ravel() / n_sites
 
     def conv(self, g) -> np.ndarray:
         """Normalized convolution: result_x = n^-d sum_y J[x, y] g_y."""
-        return self._apply(g, transpose=False)
+        return self._apply(g, adjoint=False)
 
     def conv_adjoint(self, g) -> np.ndarray:
         """Adjoint convolution: result_x = n^-d sum_y J[y, x] g_y."""
-        return self._apply(g, transpose=True)
+        return self._apply(g, adjoint=True)
 
 
-def discretize(spec: KernelSpec, lattice: TorusLattice, dense=None) -> DiscreteKernel:
-    """Sample a kernel onto a lattice (zero diagonal, exact norm over sites)."""
+def discretize(spec: KernelSpec, lattice: TorusLattice) -> DiscreteKernel:
+    """Sample a kernel onto a lattice (zero diagonal, exact norms over sites)."""
     if lattice.n < 2:
         raise ValueError("discretize needs lattice side n >= 2")
-    return DiscreteKernel(lattice, spec, dense=dense)
+    return DiscreteKernel(lattice, spec)

@@ -140,6 +140,23 @@ def test_cli_main_exit_codes(tmp_path):
     assert not (tmp_path / "v").exists()
 
 
+def test_tabulated_kernel_size_mismatch_is_config_error(tmp_path, capsys):
+    # a 2-site table cannot serve the study's lattices: exit 2 before any run
+    table = tmp_path / "kernel.csv"
+    table.write_text("0,1,1.0\n1,0,1.0\n")
+    rc = main(["hydro-converge", "--set", "kernel.name=tabulated",
+               "--set", f"kernel.path={table}", "--set", "kernel.n_sites=2",
+               "--out", str(tmp_path / "h")])
+    assert rc == 2
+    assert "config error: kernel: tabulated kernel has 2 sites" in capsys.readouterr().err
+    assert not (tmp_path / "h").exists()
+    # a table that matches the one lattice passes validation
+    cfg = load_config("entropy-exact", None, ["kernel.name=tabulated",
+                                              f"kernel.path={table}", "kernel.n_sites=2",
+                                              "n_list=[2]"])
+    assert validate(cfg) == []
+
+
 def test_cli_threshold_failure_exit_code(tmp_path):
     # a deliberately noisy slope target cannot be met: 2 replicas, tight band
     rc = main(["lln-rate", "--set", "replicas=4", "--set", "n_list=[8, 16, 32]",

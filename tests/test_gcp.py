@@ -260,25 +260,25 @@ def test_fast_path_integrity_and_determinism():
     assert np.array_equal(results[0], results[1])
 
 
-def test_lazy_kernel_path_bit_identical_to_dense():
-    # the on-the-fly evaluator feeds the same rates, so the whole event
-    # sequence matches the dense-matrix run draw for draw
-    from gcp_hydro.lattice import discretize
-    lat = TorusLattice(1, 24)
-    spec = KernelSpec.cosine(0.6)
-    p_dense = ModelParams(1.0, 1, discretize(spec, lat, dense=True))
-    p_lazy = ModelParams(1.0, 1, discretize(spec, lat, dense=False))
-    u0 = DensityField(lat, 1, np.tile([0.5, 0.5], (24, 1)))
-    sigmas = []
-    for p in (p_dense, p_lazy):
-        rng = replica_rng(41, 0)
-        sim = Simulation(sample_initial(u0, rng), p)
-        for _ in range(400):
-            if sim.step(rng) is None:
-                break
-        sim.check_integrity()
-        sigmas.append(sim.config.sigma.copy())
-    assert np.array_equal(sigmas[0], sigmas[1])
+def test_fft_kernel_column_updates_match_rates_from_scratch():
+    # above DENSE_SITE_LIMIT each toggle adds or subtracts a rolled copy of
+    # phi while rates_from_scratch convolves by FFT; a non-symmetric kernel
+    # in d=2 makes a wrong roll direction or axis show
+    from gcp_hydro.lattice import DENSE_SITE_LIMIT
+
+    def skew(x, y):
+        r = x - y - np.round(x - y)
+        return np.prod(1.0 + 0.5 * np.cos(2 * np.pi * r) + 0.3 * np.sin(2 * np.pi * r),
+                       axis=-1)
+    p = _params(n=24, k=1, a=0.5, kernel=KernelSpec("skew", {}, skew, 1.8 ** 2, 1.0), d=2)
+    assert p.lattice.n_sites > DENSE_SITE_LIMIT
+    rng = replica_rng(43, 0)
+    sim = Simulation(sample_initial(_uniform_field(p, [0.5, 0.5]), rng), p)
+    steps = 0
+    while steps < 2000 and sim.step(rng) is not None:
+        steps += 1
+    assert steps == 2000
+    sim.check_integrity(rtol=1e-10)
 
 
 @pytest.mark.parametrize("spec", [

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcp_hydro.lattice import KernelSpec, TorusLattice, discretize
+from gcp_hydro.lattice import DENSE_SITE_LIMIT, KernelSpec, TorusLattice, discretize
 
 
 def test_zero_kernel_all_entries_zero():
@@ -63,27 +63,62 @@ def test_conv_dimension_mismatch():
         kern.conv(np.ones(5))
 
 
-def test_dense_vs_on_the_fly_agree():
-    lat = TorusLattice(1, 300)
-    dense = discretize(KernelSpec.cosine(0.7), lat, dense=True)
-    lazy = discretize(KernelSpec.cosine(0.7), lat, dense=False)
-    assert not lazy.is_dense
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        g = rng.normal(size=300)
-        np.testing.assert_allclose(dense.conv(g), lazy.conv(g), atol=1e-12)
-        np.testing.assert_allclose(dense.conv_adjoint(g), lazy.conv_adjoint(g), atol=1e-12)
-    np.testing.assert_allclose(dense.row(17), lazy.row(17), atol=1e-14)
-    np.testing.assert_allclose(dense.col(17), lazy.col(17), atol=1e-14)
-    assert lazy.norm_1n == pytest.approx(dense.norm_1n, rel=1e-12)
-
-
 def _asymmetric_kernel():
     def ev(x, y):
         r = x - y - np.round(x - y)
         return np.prod(1.0 + 0.5 * np.cos(2 * np.pi * r) + 0.3 * np.sin(2 * np.pi * r),
                        axis=-1)
     return KernelSpec("skew", {}, ev, 1.8, 1.0)
+
+
+# sides on both sides of DENSE_SITE_LIMIT, so both engines are drawn
+_SIDES = {1: st.one_of(st.integers(5, 40), st.integers(513, 900)),
+          2: st.sampled_from([6, 24]),
+          3: st.sampled_from([4, 9])}
+
+
+@st.composite
+def _kernel_case(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(_SIDES[d])
+    name = draw(st.sampled_from(["cosine", "gaussian", "constant", "skew"]))
+    if name == "cosine":
+        spec = KernelSpec.cosine(draw(st.floats(-1.0, 1.0)), d=d)
+    elif name == "gaussian":
+        spec = KernelSpec.gaussian(c=draw(st.floats(0.1, 3.0)),
+                                   width=draw(st.floats(0.02, 0.2)), d=d)
+    elif name == "constant":
+        spec = KernelSpec.constant(draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0))))
+    else:
+        spec = _asymmetric_kernel()
+    return TorusLattice(d, n), spec, draw(st.integers(0, 2 ** 31 - 1))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_kernel_case())
+def test_kernel_engines_match_explicit_matrix(case):
+    # oracle: J evaluated on every site pair, diagonal zeroed
+    lat, spec, seed = case
+    pos = lat.positions()
+    m = np.asarray(spec.evaluate(pos[:, None, :], pos[None, :, :]), dtype=float)
+    np.fill_diagonal(m, 0.0)
+    kern = discretize(spec, lat)
+    n_sites = lat.n_sites
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=n_sites)
+    x = int(rng.integers(n_sites))
+    peak = float(m.max())
+    tol = 1e-12 * peak * np.max(np.abs(g))
+    assert np.max(np.abs(kern.conv(g) - m @ g / n_sites)) <= tol
+    assert np.max(np.abs(kern.conv_adjoint(g) - m.T @ g / n_sites)) <= tol
+    assert np.max(np.abs(kern.col(x) - m[:, x])) <= 1e-12 * peak
+    assert abs(kern.norm_1n - m.sum(axis=1).max() / n_sites) <= 1e-12 * peak
+    assert abs(kern.norm_inf - peak) <= 1e-12 * peak
+    if n_sites <= DENSE_SITE_LIMIT:
+        assert np.max(np.abs(kern.matrix - m)) <= 1e-12 * peak
+    else:
+        with pytest.raises(ValueError, match="FFT"):
+            kern.matrix
 
 
 def test_adjoint_identity_weighted_inner_product():
@@ -140,6 +175,14 @@ def test_tabulated_kernel_csv_roundtrip(tmp_path):
     off = ~np.eye(5, dtype=bool)
     np.testing.assert_allclose(kern.matrix[off], table[off], atol=1e-15)
     assert np.all(np.diag(kern.matrix) == 0.0)
+
+
+@pytest.mark.parametrize("line", ["-1,0,2.0", "0,3,2.0"])
+def test_tabulated_csv_rejects_index_outside_lattice(tmp_path, line):
+    path = tmp_path / "kernel.csv"
+    path.write_text("# x,y,value\n0,1,1.0\n" + line + "\n")
+    with pytest.raises(ValueError, match="line 3: site index"):
+        KernelSpec.from_table_csv(path, 3)
 
 
 def test_tabulated_kernel_must_match_lattice():
