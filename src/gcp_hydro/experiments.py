@@ -11,6 +11,7 @@ change the aggregated output.
 from __future__ import annotations
 
 import copy
+import itertools
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -26,15 +27,16 @@ from .concentration import (centered_indicator, check_hanson_wright,
 from .entropy import (STATE_CAP, StateSpace, entropy_production_check,
                       profile_law)
 from .fields import TestFunction, carre_du_champ, centered_field, fluctuation, lln_error
-from .gcp import SpinConfig, Simulation, replica_rng, sample_initial
+from .gcp import SpinConfig, Simulation, block_lanes, replica_rng
 from .hydro import ModelParams, convergence_study, integrate, profile_field
 from .io_utils import config_hash, write_csv, write_json
 from .lattice import KernelSpec, TorusLattice, discretize
 from .profiles import InitialProfile
-from .stats import (gamma_field, normality_diagnostics, predicted_initial_cov,
+from .stats import (NORMALITY_MIN_SAMPLES, RATE_FIT_MIN_POINTS, gamma_field,
+                    normality_diagnostics, predicted_initial_cov,
                     predicted_variance_mild, rate_fit)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 HEADERS = {
     "convergence": ("n", "sup_error"),
@@ -211,6 +213,13 @@ def validate(cfg) -> list:
     replicas = cfg.get("replicas", 0)
     if name in MC_EXPERIMENTS and (not isinstance(replicas, int) or replicas < 1):
         v.append("replicas: Monte Carlo experiments need replicas >= 1")
+    elif name == "clt-check" and replicas < NORMALITY_MIN_SAMPLES:
+        v.append(f"replicas: clt-check needs replicas >= {NORMALITY_MIN_SAMPLES} "
+                 "for its normality diagnostics")
+    elif name == "init-cov" and replicas < 2:
+        v.append("replicas: init-cov needs replicas >= 2 to estimate a covariance")
+    if name == "lln-rate" and len(n_list) < RATE_FIT_MIN_POINTS:
+        v.append(f"n_list: rate fit needs at least {RATE_FIT_MIN_POINTS} sizes")
     if not isinstance(cfg.get("seed"), int) or cfg["seed"] < 0:
         v.append("seed: master seed must be a nonnegative integer")
     if cfg.get("h") is not None and cfg["h"] <= 0:
@@ -262,47 +271,80 @@ def _pmap(fn, args_list, workers):
         return list(pool.map(fn, args_list))
 
 
-def _chunks(n_replicas, workers):
-    per = -(-n_replicas // max(workers, 1))
+def _chunks(n_replicas, workers, lanes):
+    """Replica ranges [lo, hi), one per worker, cut at block edges."""
+    blocks = -(-n_replicas // lanes)
+    per = -(-blocks // max(workers, 1)) * lanes
     return [(lo, min(lo + per, n_replicas)) for lo in range(0, n_replicas, per)]
+
+
+def _sum_counters(counters):
+    return {key: sum(c[key] for c in counters) for key in counters[0]}
+
+
+def _concat(parts):
+    """Join tuples of per-block arrays field by field; a None field stays None."""
+    return tuple(None if field[0] is None else np.concatenate(field) for field in zip(*parts))
 
 
 # -- replica batch tasks (top level for pickling) -----------------------------
 
+def _observe(cfg, n, t, lo, hi, pair):
+    """Replicas [lo, hi) of side n observed at time t, one block of lanes at a time.
+
+    ``pair(w, config)`` maps one block's stacked centered field and
+    configurations to a tuple of arrays with a leading replica axis; returns
+    those joined over the blocks, and the summed simulator counters.
+    """
+    _, params, u0 = _system(cfg, n)
+    u_t = integrate(u0, params, t, h=cfg.get("h")).final() if t > 0 else u0
+    lanes = block_lanes(params.lattice.n_sites)
+    results, counters = [], []
+    for start in range(lo, hi, lanes):  # lo lies on a block edge
+        snap, totals = _snapshot(u0, params, cfg["seed"], range(start, min(start + lanes, hi)), t)
+        results.append(pair(centered_field(snap.config, u_t), snap.config))
+        counters.append(totals)
+    return _concat(results), _sum_counters(counters)
+
+
+def _snapshot(u0, params, seed, replicas, t):
+    """One block's snapshot at t and its counters; the block's state is freed on return."""
+    sim = Simulation(u0, params, seed, replicas)
+    return sim.simulate_until([t])[0], sim.counters()
+
+
 def _lln_batch(args):
     cfg, n, t, lo, hi = args
-    _, params, u0 = _system(cfg, n)
-    u_t = integrate(u0, params, t, h=cfg.get("h")).final()
     fns = _functions(cfg)
     state = int(cfg.get("state", cfg["k"]))
-    out = np.empty((hi - lo, len(fns)))
-    for r in range(lo, hi):
-        rng = replica_rng(cfg["seed"], n, r)
-        sim = Simulation(sample_initial(u0, rng), params)
-        snap = sim.simulate_until([t], rng)[0]
-        w = centered_field(snap.config, u_t)
-        out[r - lo] = [lln_error(w, f, state) ** 2 for f in fns]
-    return out
+    return _observe(cfg, n, t, lo, hi, lambda w, config: (
+        np.stack([lln_error(w, f, state) ** 2 for f in fns], axis=-1),))
 
 
 def _clt_batch(args):
     cfg, n, t, lo, hi = args
-    _, params, u0 = _system(cfg, n)
-    u_t = integrate(u0, params, t, h=cfg.get("h")).final()
     f = _functions(cfg)[0]
     state = int(cfg.get("state", cfg["k"]))
     dump = bool(cfg.get("dump_configs", False))
-    rows, configs = [], []
-    for r in range(lo, hi):
-        rng = replica_rng(cfg["seed"], n, r)
-        sim = Simulation(sample_initial(u0, rng), params)
-        snap = sim.simulate_until([t], rng)[0]
-        w = centered_field(snap.config, u_t)
-        counts = snap.config.state_counts()
-        rows.append((r, lln_error(w, f, state), fluctuation(w, f, state), counts))
-        if dump:
-            configs.append((r, snap.config.sigma.copy()))
-    return rows, configs
+    return _observe(cfg, n, t, lo, hi, lambda w, config: (
+        lln_error(w, f, state), fluctuation(w, f, state), config.state_counts(),
+        config.sigma if dump else None))
+
+
+def _init_cov_batch(args):
+    cfg, n, t, lo, hi = args
+    fns = _functions(cfg)
+    return _observe(cfg, n, t, lo, hi, lambda w, config: (np.moveaxis(np.array(
+        [[fluctuation(w, f, i) for i in range(cfg["k"] + 1)] for f in fns]), -1, 0),))
+
+
+def _replica_tasks(cfg, fn, n, t):
+    """fn over the workers' chunks of replicas: joined arrays and summed counters."""
+    workers = _workers(cfg)
+    lanes = block_lanes(n ** cfg["d"])
+    tasks = [(cfg, n, t, lo, hi) for lo, hi in _chunks(cfg["replicas"], workers, lanes)]
+    results = _pmap(fn, tasks, workers)
+    return _concat([r[0] for r in results]), _sum_counters([r[1] for r in results])
 
 
 # -- experiment runners --------------------------------------------------------
@@ -321,19 +363,18 @@ def _run_hydro_converge(cfg):
     summary = {"slope": slope,
                "slope_se": table.fit.slope_se if table.fit else None,
                "slope_target": target, "slope_tol": tol}
-    return passed, {"convergence": ("convergence", table.rows())}, summary
+    return passed, {"convergence": ("convergence", table.rows())}, summary, {}
 
 
 def _run_lln_rate(cfg):
     t = cfg["times"][-1]
-    workers = _workers(cfg)
     fns = _functions(cfg)
     state = int(cfg.get("state", cfg["k"]))
-    rows, slopes = [], {}
+    rows, slopes, counters = [], {}, []
     per_f_means = {f.name: [] for f in fns}
     for n in cfg["n_list"]:
-        tasks = [(cfg, n, t, lo, hi) for lo, hi in _chunks(cfg["replicas"], workers)]
-        sq = np.concatenate(_pmap(_lln_batch, tasks, workers), axis=0)
+        (sq,), totals = _replica_tasks(cfg, _lln_batch, n, t)
+        counters.append(totals)
         for idx, f in enumerate(fns):
             mean = float(np.mean(sq[:, idx]))
             se = float(np.std(sq[:, idx], ddof=1) / np.sqrt(len(sq)))
@@ -347,25 +388,22 @@ def _run_lln_rate(cfg):
         slopes[fname] = {"slope": fit.slope, "se": fit.slope_se}
         passed = passed and abs(fit.slope - target) <= tol
     summary = {"slopes": slopes, "slope_target": target, "slope_tol": tol}
-    return passed, {"lln": ("lln", rows)}, summary
+    return passed, {"lln": ("lln", rows)}, summary, {"simulator": _sum_counters(counters)}
 
 
 def _run_clt_check(cfg):
     n = cfg["n_list"][0]
     t = cfg["times"][-1]
-    workers = _workers(cfg)
     _, params, u0 = _system(cfg, n)
     traj = integrate(u0, params, t, h=cfg.get("h"))
     f = _functions(cfg)[0]
     state = int(cfg.get("state", cfg["k"]))
     predicted = predicted_variance_mild(f, state, t, traj, params)
-    tasks = [(cfg, n, t, lo, hi) for lo, hi in _chunks(cfg["replicas"], workers)]
-    batches = _pmap(_clt_batch, tasks, workers)
-    triples = [row for rows, _ in batches for row in rows]
-    x = np.array([row[2] for row in triples])
-    det_rows = [(r, t, state, f.name, e, xv) for r, e, xv, _ in triples]
-    count_rows = [(r, t) + tuple(int(c) for c in counts)
-                  for r, e, xv, counts in triples]
+    (errors, x, counts, sigmas), counters = _replica_tasks(cfg, _clt_batch, n, t)
+    replica = range(len(x))
+    det_rows = zip(replica, itertools.repeat(t), itertools.repeat(state),
+                   itertools.repeat(f.name), errors.tolist(), x.tolist())
+    count_rows = [(r, t) + tuple(c) for r, c in zip(replica, counts.tolist())]
     emp_var = float(np.var(x, ddof=1))
     centered = x - x.mean()
     m2 = float(np.mean(centered ** 2))
@@ -380,14 +418,14 @@ def _run_clt_check(cfg):
                "skewness_se": mom.skewness_se, "excess_kurtosis": mom.excess_kurtosis,
                "kurtosis_se": mom.kurtosis_se, "variance_ok": var_ok,
                "shape_ok": shape_ok}
-    payloads = {"clt": ("clt_detail", det_rows),
+    payloads = {"clt": ("clt_detail", list(det_rows)),
                 "clt_counts": (("replica", "t") + tuple(f"count_{i}" for i in range(cfg["k"] + 1)),
                                count_rows)}
-    if cfg.get("dump_configs"):
-        cfg_rows = [(r, t, x, int(s)) for rows, dumps in batches
-                    for r, sigma in dumps for x, s in enumerate(sigma)]
+    if sigmas is not None:
+        cfg_rows = [(r, t, site, s) for r, sigma in enumerate(sigmas.tolist())
+                    for site, s in enumerate(sigma)]
         payloads["clt_configs"] = (("replica", "t", "site", "state"), cfg_rows)
-    return bool(var_ok and shape_ok), payloads, summary
+    return bool(var_ok and shape_ok), payloads, summary, {"simulator": counters}
 
 
 def _run_qv_check(cfg):
@@ -414,8 +452,8 @@ def _run_qv_check(cfg):
                     worst = max(worst, diff)
                     rows.append((t, f.name, i, j, enum, ref, diff))
     passed = worst <= cfg["tolerance"]
-    return passed, {"qv": ("qv", rows)}, {"max_abs_diff": worst,
-                                          "tolerance": cfg["tolerance"]}
+    summary = {"max_abs_diff": worst, "tolerance": cfg["tolerance"]}
+    return passed, {"qv": ("qv", rows)}, summary, {}
 
 
 def _run_init_cov(cfg):
@@ -424,13 +462,7 @@ def _run_init_cov(cfg):
     fns = _functions(cfg)
     replicas = cfg["replicas"]
     k = cfg["k"]
-    x = np.empty((replicas, len(fns), k + 1))
-    for r in range(replicas):
-        rng = replica_rng(cfg["seed"], n, r)
-        w = centered_field(sample_initial(u0, rng), u0)
-        for fi, f in enumerate(fns):
-            for i in range(k + 1):
-                x[r, fi, i] = fluctuation(w, f, i)
+    (x,), counters = _replica_tasks(cfg, _init_cov_batch, n, 0.0)  # (replicas, f, state)
     rows, all_ok = [], True
     for fi, f in enumerate(fns):
         for gi, g in enumerate(fns):
@@ -446,7 +478,8 @@ def _run_init_cov(cfg):
                     ok = abs(emp - pred) <= 4.0 * se
                     all_ok = all_ok and ok
                     rows.append((f.name, g.name, i, j, emp, pred, se, ok))
-    return all_ok, {"init_cov": ("init_cov", rows)}, {"pairs": len(rows)}
+    return (all_ok, {"init_cov": ("init_cov", rows)}, {"pairs": len(rows)},
+            {"simulator": counters})
 
 
 def _run_entropy_exact(cfg):
@@ -462,7 +495,7 @@ def _run_entropy_exact(cfg):
                "min_inequality_margin": float(np.min(report.inequality_margin())),
                "inequality_holds": report.inequality_holds(),
                "under_envelope": report.under_envelope()}
-    return passed, {"entropy": ("entropy", report.rows())}, summary
+    return passed, {"entropy": ("entropy", report.rows())}, summary, {}
 
 
 def _run_concentration(cfg):
@@ -486,7 +519,7 @@ def _run_concentration(cfg):
                                      replicas=replicas, rng=replica_rng(cfg["seed"], 6))
     rows = [r.row() for r in results]
     passed = all(r.passed for r in results)
-    return passed, {"concentration": ("concentration", rows)}, {"checks": len(rows)}
+    return passed, {"concentration": ("concentration", rows)}, {"checks": len(rows)}, {}
 
 
 _RUNNERS = {
@@ -505,8 +538,8 @@ def run(cfg, out_dir) -> RunResult:
     violations = validate(cfg)
     if violations:
         raise ConfigError(violations)
-    started = time.time()
-    passed, payloads, summary = _RUNNERS[cfg["experiment"]](cfg)
+    started = time.perf_counter()
+    passed, payloads, summary, metrics = _RUNNERS[cfg["experiment"]](cfg)
     passed = None if passed is None else bool(passed)
     csv_paths = []
     for stem, (header, rows) in payloads.items():
@@ -523,7 +556,8 @@ def run(cfg, out_dir) -> RunResult:
         "seed": cfg["seed"],
         "status": "pass" if passed else "fail" if passed is not None else "done",
         "summary": summary,
-        "wall_time_s": round(time.time() - started, 3),
+        "metrics": metrics,
+        "wall_time_s": round(time.perf_counter() - started, 3),
         "versions": {"gcp_hydro": __version__, "numpy": np.__version__},
     }
     write_json(sidecar, meta)

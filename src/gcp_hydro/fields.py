@@ -3,12 +3,14 @@
 The centered field w_x^i = 1(sigma_x = i) - u_x^i compares one configuration
 against a density field.  Paired with a test function it yields the
 density-scale error functional (n^-d weighting) and the fluctuation
-functional (n^-d/2 weighting); the quadratic form of the generator is
-evaluated on configurations directly.
+functional (n^-d/2 weighting), one value per replica when the
+configurations carry a leading replica axis; the quadratic form of the
+generator is evaluated on configurations directly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,30 +100,44 @@ class TestFunction:
 
 @dataclass
 class CenteredField:
-    """w_x^i = 1(sigma_x = i) - u_x^i; per-site rows sum to zero."""
+    """w_x^i = 1(sigma_x = i) - u_x^i for one configuration or a stack of them.
+
+    Kept as the states and the density, so pairing a stack of R replicas
+    never builds an (R, N, k+1) array; ``w`` materializes the field.
+    """
 
     lattice: TorusLattice
     k: int
-    w: np.ndarray  # (N, k+1)
+    sigma: np.ndarray  # (N,) or (R, N)
+    u: np.ndarray      # (N, k+1)
+
+    @property
+    def w(self) -> np.ndarray:
+        """(..., N, k+1) field; per-site rows sum to zero."""
+        return (self.sigma[..., None] == np.arange(self.k + 1)) - self.u
 
 
 def centered_field(config: SpinConfig, u: DensityField) -> CenteredField:
     if config.lattice != u.lattice or config.k != u.k:
         raise ValueError("configuration and density field live on different systems")
-    ind = np.zeros_like(u.u)
-    ind[np.arange(config.lattice.n_sites), config.sigma] = 1.0
-    return CenteredField(config.lattice, config.k, ind - u.u)
+    return CenteredField(config.lattice, config.k, config.sigma, u.u)
 
 
-def lln_error(w: CenteredField, f: TestFunction, i) -> float:
-    """Density-scale pairing n^-d sum_x w_x^i f(x/n)."""
-    return float(np.mean(w.w[:, i] * f.values_on(w.lattice)))
+def _pairing(w: CenteredField, f: TestFunction, i):
+    """sum_x w_x^i f(x/n): a float, or one per replica of a stack."""
+    fv = f.values_on(w.lattice)
+    total = np.where(w.sigma == i, fv, 0.0).sum(axis=-1) - np.sum(w.u[:, i] * fv)
+    return float(total) if np.ndim(total) == 0 else total
 
 
-def fluctuation(w: CenteredField, f: TestFunction, i) -> float:
-    """Fluctuation-scale pairing n^-d/2 sum_x w_x^i f(x/n), computed directly."""
-    vals = w.w[:, i] * f.values_on(w.lattice)
-    return float(vals.sum() / np.sqrt(w.lattice.n_sites))
+def lln_error(w: CenteredField, f: TestFunction, i):
+    """Density-scale pairing n^-d sum_x w_x^i f(x/n); one per replica of a stack."""
+    return _pairing(w, f, i) / w.lattice.n_sites
+
+
+def fluctuation(w: CenteredField, f: TestFunction, i):
+    """Fluctuation-scale pairing n^-d/2 sum_x w_x^i f(x/n); one per replica of a stack."""
+    return _pairing(w, f, i) / math.sqrt(w.lattice.n_sites)
 
 
 def carre_du_champ(config: SpinConfig, params: ModelParams, f: TestFunction, i, j) -> float:

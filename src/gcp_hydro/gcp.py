@@ -4,20 +4,33 @@ Each site holds a state in {0..k}.  A site at the top state k resets to 0 at
 rate a; a site below k advances one state at rate (J^n * active)_x, the
 normalized kernel average of the current top-state indicator.
 
-Events are drawn by thinning (Lewis & Shedler 1979) over the partition of
-sites into active (top state) and passive ones.  Each active site proposes
-at its exact rate a; each passive site proposes at the common bound
-norm_inf * n_active / N on its intensity, and its proposal is accepted with
-probability intensity_x / bound.  A rejected proposal only moves the clock.
-Picking a site within either class is O(1).  Activation or deactivation of
-one site shifts every intensity by one kernel column, a vectorized O(N)
-update; all other events leave the intensities untouched.  With no active
-site the proposal rate is exactly zero, so the absorbing state absorbs.
+``Simulation`` steps a range of replicas together as the lanes of (R, N)
+arrays; one replica is its R = 1 case.  Events are drawn by thinning (Lewis
+& Shedler 1979) over each lane's partition of sites into active (top state)
+and passive ones.  Each active site proposes at its exact rate a; each
+passive site proposes at the common bound norm_inf * n_active / N on its
+intensity, and its proposal is accepted with probability intensity_x /
+bound.  A rejected proposal only moves the clock.  One vectorized step makes
+one proposal in every live lane, and picking a site within either class is
+O(1).  Activation or deactivation of a site shifts its lane's intensities by
+one kernel column, gathered for all toggling lanes at once; all other events
+leave the intensities untouched.  With no active site a lane's proposal rate
+is exactly zero, so the absorbing state absorbs.
+
+Randomness is counter-based (Philox; Salmon et al., SC'11).  Replica r is
+lane r % B of block r // B, where B = block_lanes(N) depends on the lattice
+size only.  Block b is keyed by the Philox key of replica_rng(seed, n, b).
+Round 0 of that key draws the block's initial configurations as a (B, N)
+matrix; round j >= 1 is the (3, B) matrix at counter (0, 0, j, 0), and a
+lane's j-th proposal reads its own column of it: holding time, site,
+acceptance.  Rounds are always drawn at full width and each lane keeps its
+own round counter, so a replica's path is a pure function of (seed, n, r):
+it depends neither on which other replicas are stepped with it nor on how
+the observation times are split across calls.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +38,13 @@ import numpy as np
 from .hydro import DensityField, ModelParams
 from .lattice import TorusLattice
 
-REBUILD_PERIOD = 1 << 20  # full refresh cadence bounding float drift in the intensities
+REBUILD_PERIOD = 1 << 20  # per-lane refresh cadence bounding float drift in the intensities
+BLOCK_SITES = 1 << 14     # lanes x sites of one block
+
+
+def block_lanes(n_sites) -> int:
+    """Lanes per block of replicas; a function of the lattice size alone."""
+    return min(4096, max(1, BLOCK_SITES // n_sites))
 
 
 def replica_rng(master_seed, *key) -> np.random.Generator:
@@ -36,14 +55,15 @@ def replica_rng(master_seed, *key) -> np.random.Generator:
 
 @dataclass
 class SpinConfig:
-    """One lattice configuration: an integer state in {0..k} per site."""
+    """Lattice configurations: an integer state in {0..k} per site, for one
+    replica (shape (N,)) or a stack of replicas (shape (R, N))."""
 
     lattice: TorusLattice
     k: int
-    sigma: np.ndarray  # (N,) small ints
+    sigma: np.ndarray  # (N,) or (R, N) small ints
 
     def validate(self):
-        if self.sigma.shape != (self.lattice.n_sites,):
+        if self.sigma.ndim not in (1, 2) or self.sigma.shape[-1] != self.lattice.n_sites:
             raise ValueError("state array does not match lattice size")
         if self.sigma.min() < 0 or self.sigma.max() > self.k:
             raise ValueError(f"states must lie in [0, {self.k}]")
@@ -53,7 +73,9 @@ class SpinConfig:
         return self.sigma == self.k
 
     def state_counts(self) -> np.ndarray:
-        return np.bincount(self.sigma, minlength=self.k + 1)
+        """Sites per state: (k+1,), or (R, k+1) for a stack."""
+        return np.stack([np.count_nonzero(self.sigma == i, axis=-1)
+                         for i in range(self.k + 1)], axis=-1)
 
     def copy(self) -> "SpinConfig":
         return SpinConfig(self.lattice, self.k, self.sigma.copy())
@@ -62,169 +84,286 @@ class SpinConfig:
 @dataclass
 class Snapshot:
     time: float
-    config: SpinConfig
+    config: SpinConfig  # one row per lane
 
 
-def sample_initial(u0: DensityField, rng) -> SpinConfig:
-    """Independent per-site categorical draw from the given density field."""
+def sample_initial(u0: DensityField, rng, replicas=None) -> SpinConfig:
+    """Independent per-site categorical draws from the density field: one
+    configuration, or ``replicas`` of them stacked from an (replicas, N) draw."""
     u0.validate()
+    n_sites = u0.lattice.n_sites
+    draws = rng.random(n_sites if replicas is None else (replicas, n_sites))
     cum = np.cumsum(u0.u, axis=1)
-    draws = rng.random(u0.lattice.n_sites)
-    sigma = (draws[:, None] >= cum).sum(axis=1)
-    sigma = np.minimum(sigma, u0.k).astype(np.int16)
+    sigma = np.zeros(draws.shape, np.int16)
+    for i in range(u0.k):
+        sigma += draws >= cum[:, i]
     return SpinConfig(u0.lattice, u0.k, sigma)
 
 
 def rates_from_scratch(config: SpinConfig, params: ModelParams):
-    """(intensity, rate) recomputed directly from the definition."""
-    active = config.active_mask().astype(float)
-    intensity = params.kernel.conv(active)
-    rate = np.where(config.active_mask(), params.a, intensity)
+    """(intensity, rate) recomputed directly from the definition, per row of a stack."""
+    active = config.active_mask()
+    intensity = params.kernel.conv(active.astype(float))
+    rate = np.where(active, params.a, intensity)
     return intensity, rate
 
 
 class Simulation:
-    """Mutable simulation state: configuration, intensities, event clock.
+    """Replicas of the dynamics stepped together, one lane each.
 
-    A single instance is strictly sequential.  Observation times never
-    consume randomness: the pending proposal time survives across
-    ``simulate_until`` calls, so splitting one run into several calls with
-    the same generator reproduces the exact same path.
+    ``initial`` is a DensityField, from which round 0 of each block draws
+    the lanes' configurations, or a SpinConfig that every lane starts from.
+    ``replicas`` is a count R (replicas 0..R-1) or a range of replica
+    indices.  Observation times never consume randomness: each lane's
+    pending proposal time and round counter survive across
+    ``simulate_until`` calls.
     """
 
-    def __init__(self, config: SpinConfig, params: ModelParams):
-        config.validate()
-        if config.k != params.k or config.lattice != params.lattice:
-            raise ValueError("configuration does not match model parameters")
-        self.config = config.copy()
+    def __init__(self, initial, params: ModelParams, seed, replicas=1):
+        reps = range(replicas) if isinstance(replicas, (int, np.integer)) else replicas
+        if not isinstance(reps, range) or reps.step != 1 or not reps or reps.start < 0:
+            raise ValueError("replicas must be a count >= 1 or a nonempty range of "
+                             "indices >= 0 with step 1")
+        lattice, k = params.lattice, params.k
+        if initial.k != k or initial.lattice != lattice:
+            raise ValueError("initial state does not match model parameters")
+        n_sites = lattice.n_sites
+        width = block_lanes(n_sites)
         self.params = params
-        self.time = 0.0
-        self.events = 0
-        self._pending = None  # time of the next proposal, not yet made
-        n = config.lattice.n_sites
-        active = config.active_mask()
-        # active sites first, then passive; _pos inverts _members
-        self._members = np.concatenate([np.flatnonzero(active), np.flatnonzero(~active)])
-        self._pos = np.empty(n, dtype=np.int64)
-        self._pos[self._members] = np.arange(n)
-        self._n_active = int(np.count_nonzero(active))
-        self.intensity, _ = rates_from_scratch(config, params)
+        self._width = width
+        first = reps.start // width
+        rngs = [replica_rng(seed, lattice.n, b)
+                for b in range(first, (reps.stop - 1) // width + 1)]
+        self._keys = [g.bit_generator.state["state"]["key"] for g in rngs]
+        self._rounds = np.random.Generator(np.random.Philox(key=self._keys[0]))
+        ids = np.arange(reps.start, reps.stop)
+        self._block, self._lane = ids // width - first, ids % width
+        if isinstance(initial, DensityField):
+            sigma = np.empty((len(reps), n_sites), np.int16)
+            self.intensity = np.empty((len(reps), n_sites))
+            for b, g in enumerate(rngs):
+                # round 0 and its intensities at full width, so a lane's start
+                # never depends on which lanes are stepped with it
+                block = sample_initial(initial, g, width)
+                rows, lane = self._block == b, self._lane[self._block == b]
+                sigma[rows] = block.sigma[lane]
+                self.intensity[rows] = params.kernel.conv(block.active_mask().astype(float))[lane]
+        else:
+            initial.validate()
+            sigma = np.array(np.broadcast_to(initial.sigma, (len(reps), n_sites)), np.int16,
+                             order="C")
+            self.intensity = params.kernel.conv((sigma == k).astype(float))
+        self.config = SpinConfig(lattice, k, sigma)
+        active = sigma == k
+        # per lane: active sites first, then passive; _pos inverts _members
+        self._members = np.argsort(~active, axis=1, kind="stable").astype(np.int32)
+        self._pos = np.empty_like(self._members)
+        np.put_along_axis(self._pos, self._members,
+                          np.broadcast_to(np.arange(n_sites, dtype=np.int32), sigma.shape), axis=1)
+        self._n_active = np.count_nonzero(active, axis=1)
+        self.time = np.zeros(len(reps))
+        self._pending = np.full(len(reps), np.nan)  # next proposal time, not yet made
+        self._round = np.ones(len(reps), np.int64)  # round of each lane's next proposal
+        self._events = np.zeros(len(reps), np.int64)
+        self.proposals = self.passive_proposals = self.passive_accepted = self.toggles = 0
         # a passive intensity is at most norm_inf / N per active site
-        self._unit_bound = params.kernel.norm_inf / n
+        self._unit_bound = params.kernel.norm_inf / n_sites
+
+    # -- observables ---------------------------------------------------------
+
+    @property
+    def events(self) -> int:
+        """Events fired, summed over lanes."""
+        return int(self._events.sum())
+
+    @property
+    def absorbed(self) -> bool:
+        """True when no lane has an active site left."""
+        return not self._n_active.any()
+
+    def lane_absorbed(self) -> np.ndarray:
+        return self._n_active == 0
+
+    def counters(self) -> dict:
+        """Simulator counters summed over lanes."""
+        return {"replicas": len(self.time), "events": self.events, "toggles": self.toggles,
+                "proposals": self.proposals, "passive_proposals": self.passive_proposals,
+                "passive_accepted": self.passive_accepted,
+                "replicas_absorbed": int(np.count_nonzero(self.lane_absorbed()))}
 
     # -- rate bookkeeping ------------------------------------------------
 
     def rate_state(self):
-        """Current (intensity, rate, total) as maintained incrementally."""
+        """Per-lane (intensity, rate, total) as maintained incrementally."""
         rate = np.where(self.config.active_mask(), self.params.a, self.intensity)
-        return self.intensity, rate, float(rate.sum())
+        return self.intensity, rate, rate.sum(axis=1)
 
     def check_integrity(self, rtol=1e-8):
-        """Incrementally maintained state vs from-scratch recomputation."""
-        active = np.flatnonzero(self.config.active_mask())
-        if not np.array_equal(np.sort(self._members[:self._n_active]), active):
+        """Incrementally maintained state vs from-scratch recomputation, per lane."""
+        n_sites = self.config.lattice.n_sites
+        slots = np.arange(n_sites)
+        in_active_class = slots < self._n_active[:, None]
+        if not np.array_equal(np.take_along_axis(self.config.active_mask(), self._members, 1),
+                              in_active_class):
             raise AssertionError("active partition drifted from the configuration")
+        if not np.array_equal(np.take_along_axis(self._pos, self._members, 1),
+                              np.broadcast_to(slots, self._members.shape)):
+            raise AssertionError("partition positions do not invert its members")
         intensity, rate, total = self.rate_state()
         ref_i, ref_r = rates_from_scratch(self.config, self.params)
-        scale = max(np.max(ref_r), 1.0)
-        if np.max(np.abs(intensity - ref_i)) > rtol * scale:
+        scale = np.maximum(ref_r.max(axis=1), 1.0)[:, None]
+        if np.any(np.abs(intensity - ref_i) > rtol * scale):
             raise AssertionError("incremental intensity drifted from recomputation")
-        if np.max(np.abs(rate - ref_r)) > rtol * scale:
+        if np.any(np.abs(rate - ref_r) > rtol * scale):
             raise AssertionError("incremental rates drifted from recomputation")
-        if abs(total - ref_r.sum()) > rtol * max(ref_r.sum(), 1.0):
+        ref_total = ref_r.sum(axis=1)
+        if np.any(np.abs(total - ref_total) > rtol * np.maximum(ref_total, 1.0)):
             raise AssertionError("total rate drifted from recomputation")
 
-    def _swap(self, x, slot):
-        """Exchange site x with the site at partition slot ``slot``."""
-        p = self._pos[x]
-        other = self._members[slot]
-        self._members[slot], self._members[p] = x, other
-        self._pos[x], self._pos[other] = slot, p
-
-    def _apply_jump(self, x):
-        sigma = self.config.sigma
-        k = self.params.k
-        old = int(sigma[x])
-        new = (old + 1) % (k + 1)
-        sigma[x] = new
-        if old == k:
-            self._n_active -= 1
-            self._swap(x, self._n_active)
-            self.intensity -= self.params.kernel.col(x) / self.config.lattice.n_sites
-            if self._n_active == 0:
-                self.intensity[:] = 0.0  # no float residue outlives the last active site
-        elif new == k:
-            self._swap(x, self._n_active)
-            self._n_active += 1
-            self.intensity += self.params.kernel.col(x) / self.config.lattice.n_sites
-        if self.events % REBUILD_PERIOD == 0:
-            self.intensity, _ = rates_from_scratch(self.config, self.params)
+    def _apply_jumps(self, lanes, xs):
+        """Advance site xs[i] of lane lanes[i] by one state; lanes are distinct."""
+        k, n_sites = self.params.k, self.config.lattice.n_sites
+        sigma = self.config.sigma.reshape(-1)
+        at = lanes * n_sites + xs
+        old = sigma[at]
+        down = old == k
+        new = old + 1
+        new[down] = 0
+        sigma[at] = new
+        events = self._events[lanes] + 1
+        self._events[lanes] = events
+        toggle = down | (new == k)
+        if toggle.any():
+            tl, tx, down = lanes[toggle], xs[toggle], down[toggle]
+            # a leaving site swaps into the last active slot, an arriving one
+            # into the first passive slot
+            slot = self._n_active[tl] - down
+            n_act = slot + ~down
+            self._n_active[tl] = n_act
+            members, pos = self._members.reshape(-1), self._pos.reshape(-1)
+            base = tl * n_sites
+            p = pos[base + tx]
+            other = members[base + slot]
+            members[base + slot] = tx
+            members[base + p] = other
+            pos[base + tx] = slot
+            pos[base + other] = p
+            # x / -N is exactly -(x / N)
+            self.intensity[tl] += (self.params.kernel.col(tx)
+                                   / np.where(down, -n_sites, n_sites)[:, None])
+            # no float residue outlives a lane's last active site
+            self.intensity[tl[n_act == 0]] = 0.0
+            self.toggles += len(tl)
+        for lane in lanes[events % REBUILD_PERIOD == 0]:
+            lone = SpinConfig(self.config.lattice, k, self.config.sigma[lane])
+            self.intensity[lane] = rates_from_scratch(lone, self.params)[0]
 
     # -- event generation --------------------------------------------------
 
-    @property
-    def absorbed(self) -> bool:
-        return self._n_active == 0
+    def _draws(self, lanes):
+        """(3, m) uniforms: each lane's column of its block's current round."""
+        tags = (self._block[lanes] << 32) | self._round[lanes]
+        if (tags == tags[0]).all():
+            return self._round_columns(tags[0], lanes)
+        # lanes split across blocks or rounds; np.unique would import numpy.ma
+        out = np.empty((3, len(lanes)))
+        for tag in set(tags.tolist()):
+            sel = tags == tag
+            out[:, sel] = self._round_columns(tag, lanes[sel])
+        return out
 
-    def _proposal_rate(self) -> float:
-        n_act = self._n_active
-        return n_act * (self.params.a + self._unit_bound * (len(self._members) - n_act))
+    def _round_columns(self, tag, lanes):
+        """The lanes' columns of round j = tag & 0xFFFFFFFF of block tag >> 32.
 
-    def _propose(self, rng):
-        """One proposal: the site that fires, or None when thinning rejects it."""
-        n_act = self._n_active
-        a = self.params.a
-        u = rng.random() * self._proposal_rate()
-        if u < a * n_act:
-            return int(self._members[min(int(u / a), n_act - 1)])
-        bound = self._unit_bound * n_act
-        j = min(int((u - a * n_act) / bound), len(self._members) - n_act - 1)
-        x = int(self._members[n_act + j])
-        return x if rng.random() * bound < self.intensity[x] else None
-
-    def _fire_next(self, rng, horizon=math.inf):
-        """Fire the next accepted event at or before ``horizon``; its site, or None.
-
-        None means the process is absorbed or the next proposal lies past the
-        horizon; that proposal time then stays pending.
+        The round is Generator(Philox(key, counter=[0, 0, j, 0])).random((3, B));
+        setting the state of one generator skips building a Philox per round.
         """
-        while not self.absorbed:
-            if self._pending is None:
-                self._pending = self.time + rng.exponential(1.0 / self._proposal_rate())
-            if self._pending > horizon:
-                return None
-            self.time, self._pending = self._pending, None
-            site = self._propose(rng)
-            if site is not None:
-                self.events += 1
-                self._apply_jump(site)
-                return site
-        return None
+        self._rounds.bit_generator.state = {
+            "bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
+            "state": {"key": self._keys[tag >> 32],
+                      "counter": np.array([0, 0, tag & 0xFFFFFFFF, 0], np.uint64)}}
+        return self._rounds.random((3, self._width))[:, self._lane[lanes]]
 
-    def step(self, rng):
-        """Fire one event: returns (site, holding_time), or None when absorbed.
+    def _rate(self, n_act):
+        return n_act * (self.params.a + self._unit_bound * (self.config.lattice.n_sites - n_act))
 
+    def _propose(self, lanes, u, n_act, rate):
+        """Each lane's proposed site and whether thinning accepts it."""
+        a, n_sites = self.params.a, self.config.lattice.n_sites
+        v = u[1] * rate
+        # the passive class is empty when every site is active or J = 0
+        passive = (v >= a * n_act) & (rate > a * n_act)
+        slot = np.minimum((v / a).astype(np.int64), n_act - 1)
+        n_pas = n_act[passive]
+        bound = self._unit_bound * n_pas
+        slot[passive] = n_pas + np.minimum(((v[passive] - a * n_pas) / bound).astype(np.int64),
+                                           n_sites - n_pas - 1)
+        row = lanes * n_sites
+        xs = self._members.reshape(-1)[row + slot]
+        accept = ~passive
+        accept[passive] = (u[2, passive] * bound
+                           < self.intensity.reshape(-1)[row[passive] + xs[passive]])
+        self.proposals += len(lanes)
+        self.passive_proposals += len(n_pas)
+        self.passive_accepted += len(n_pas) - int(np.count_nonzero(~accept))
+        return xs, accept
+
+    def _run(self, horizon, once=False):
+        """Step every live lane until its next proposal lies past ``horizon``.
+
+        With ``once``, a lane also stops after firing one event.  Returns the
+        site each lane fired last in this call, or -1.
+        """
+        fired = np.full(len(self.time), -1, np.int64)
+        lanes = np.flatnonzero(self._n_active > 0)
+        while len(lanes):
+            u = self._draws(lanes)
+            n_act = self._n_active[lanes]
+            rate = self._rate(n_act)
+            pending = self._pending[lanes]
+            fresh = np.isnan(pending)
+            pending[fresh] = self.time[lanes[fresh]] - np.log1p(-u[0, fresh]) / rate[fresh]
+            due = pending <= horizon
+            if not due.all():
+                self._pending[lanes] = pending
+                lanes, u, n_act, rate, pending = (lanes[due], u[:, due], n_act[due],
+                                                  rate[due], pending[due])
+            self.time[lanes] = pending
+            self._pending[lanes] = np.nan
+            self._round[lanes] += 1
+            xs, accept = self._propose(lanes, u, n_act, rate)
+            hit, xs = lanes[accept], xs[accept]
+            self._apply_jumps(hit, xs)
+            fired[hit] = xs
+            if once:
+                lanes = lanes[~accept]
+            lanes = lanes[self._n_active[lanes] > 0]
+        return fired
+
+    def step(self):
+        """Fire one event in every lane: (sites, holding times) per lane.
+
+        A lane that is absorbed (no site at the top state, a terminal outcome
+        of the dynamics, not an error) reports site -1 and holding time 0.
         The holding time includes the time spent on rejected proposals.
-        Absorption (no site at the top state) is a terminal outcome of the
-        dynamics, not an error.
         """
-        start = self.time
-        site = self._fire_next(rng)
-        return None if site is None else (site, self.time - start)
+        start = self.time.copy()
+        sites = self._run(np.inf, once=True)
+        return sites, self.time - start
 
-    def simulate_until(self, times, rng):
-        """Snapshots of the exact state at each requested time (sorted, >= current)."""
+    def simulate_until(self, times):
+        """Snapshots of every lane at each requested time (sorted, >= every lane's clock)."""
         times = [float(t) for t in times]
         if any(b < a for a, b in zip(times, times[1:])):
             raise ValueError("requested times must be sorted")
         snaps = []
         for t_obs in times:
-            if t_obs < self.time:
+            if t_obs < self.time.max():
                 raise ValueError(f"requested time {t_obs} lies before the current "
-                                 f"clock {self.time}")
-            while self._fire_next(rng, t_obs) is not None:
-                pass
+                                 f"clock {self.time.max()}")
+            self._run(t_obs)
             # the clock now certifies the state up to the observation time
-            self.time = t_obs
+            self.time[:] = t_obs
             snaps.append(Snapshot(t_obs, self.config.copy()))
         return snaps

@@ -247,32 +247,51 @@ class DiscreteKernel:
                              "by FFT; no dense matrix stored")
         return self._matrix
 
-    def col(self, x) -> np.ndarray:
-        """Column J[:, x] = phi(. - x), with the diagonal entry zero."""
+    def col(self, xs) -> np.ndarray:
+        """Columns J[:, x] = phi(. - x) for an index array xs, as (len(xs), N) rows."""
+        xs = np.asarray(xs)
         if self._matrix is not None:
-            return self._matrix[:, x]
-        return np.roll(self._phi, self.lattice.coords(x), axis=self._axes).ravel()
+            return self._matrix[:, xs].T
+        # gather phi at the wrapped coordinate differences y - x
+        n = self.lattice.n
+        flat = np.zeros((len(xs), self.lattice.n_sites), np.intp)
+        for cy, cx in zip(self.lattice.coords(np.arange(self.lattice.n_sites)).T,
+                          self.lattice.coords(xs).T):
+            flat *= n
+            flat += (cy[None, :] - cx[:, None]) % n
+        return self._phi.ravel()[flat]
 
     def _apply(self, g, adjoint):
         g = np.asarray(g, dtype=float)
         n_sites = self.lattice.n_sites
-        if g.shape[0] != n_sites:
-            raise ValueError(f"field has {g.shape[0]} entries, lattice has {n_sites} sites")
+        if g.shape[-1] != n_sites:
+            raise ValueError(f"field has {g.shape[-1]} entries, lattice has {n_sites} sites")
         if self._matrix is not None:
             m = self._matrix.T if adjoint else self._matrix
-            return m @ g / n_sites
-        # circular convolution with phi; the adjoint correlates with it instead
-        phi_hat = np.conj(self._phi_hat) if adjoint else self._phi_hat
-        shape = self.lattice.shape
-        g_hat = np.fft.rfftn(g.reshape(shape), axes=self._axes)
-        return np.fft.irfftn(phi_hat * g_hat, s=shape, axes=self._axes).ravel() / n_sites
+            if g.ndim == 1:
+                return m @ g / n_sites
+            # a stack by einsum: the work buffers of a BLAS matrix product
+            # would cost more resident memory than a block of replicas
+            out = np.einsum("xy,my->mx", m, g)
+        else:
+            # circular convolution with phi; the adjoint correlates with it instead
+            phi_hat = np.conj(self._phi_hat) if adjoint else self._phi_hat
+            shape = g.shape[:-1] + self.lattice.shape
+            axes = tuple(range(g.ndim - 1, len(shape)))
+            g_hat = np.fft.rfftn(g.reshape(shape), axes=axes)
+            out = np.fft.irfftn(phi_hat * g_hat, s=self.lattice.shape, axes=axes).reshape(g.shape)
+        out /= n_sites
+        return out
 
     def conv(self, g) -> np.ndarray:
-        """Normalized convolution: result_x = n^-d sum_y J[x, y] g_y."""
+        """Normalized convolution: result_x = n^-d sum_y J[x, y] g_y.
+
+        ``g`` is a field (N,) or a stack of fields (m, N), convolved row by row.
+        """
         return self._apply(g, adjoint=False)
 
     def conv_adjoint(self, g) -> np.ndarray:
-        """Adjoint convolution: result_x = n^-d sum_y J[y, x] g_y."""
+        """Adjoint convolution: result_x = n^-d sum_y J[y, x] g_y; shapes as in ``conv``."""
         return self._apply(g, adjoint=True)
 
 

@@ -17,6 +17,9 @@ import numpy as np
 
 from .hydro import DensityField, ModelParams, Trajectory
 
+RATE_FIT_MIN_POINTS = 3       # a log-log fit with a residual
+NORMALITY_MIN_SAMPLES = 500   # skewness and kurtosis need many samples
+
 
 def gamma_field(u: DensityField, params: ModelParams) -> np.ndarray:
     """Per-site symmetric (k+1, k+1) covariance tables, shape (N, k+1, k+1).
@@ -106,8 +109,8 @@ class RateFit:
 
 def rate_fit(pairs) -> RateFit:
     pairs = list(pairs)
-    if len(pairs) < 3:
-        raise ValueError("rate fit needs at least 3 (n, error) points")
+    if len(pairs) < RATE_FIT_MIN_POINTS:
+        raise ValueError(f"rate fit needs at least {RATE_FIT_MIN_POINTS} (n, error) points")
     n = np.array([float(p[0]) for p in pairs])
     e = np.array([float(p[1]) for p in pairs])
     if np.any(e <= 0.0):
@@ -151,8 +154,8 @@ def normality_diagnostics(samples) -> McSummary:
     """Sample moments with jackknife standard errors for the shape statistics."""
     x = np.asarray(samples, dtype=float)
     n = len(x)
-    if n < 500:
-        raise ValueError("normality diagnostics need at least 500 samples")
+    if n < NORMALITY_MIN_SAMPLES:
+        raise ValueError(f"normality diagnostics need at least {NORMALITY_MIN_SAMPLES} samples")
     var = float(np.var(x, ddof=1))
     if var <= 0.0:
         raise ValueError("degenerate samples: zero variance")

@@ -13,7 +13,7 @@ from gcp_hydro.entropy import (StateSpace, F_closed_all, F_direct_all,
                                master_evolve, profile_law,
                                site_state_marginals)
 from gcp_hydro.experiments import load_config, run
-from gcp_hydro.gcp import Simulation, replica_rng, sample_initial
+from gcp_hydro.gcp import Simulation
 from gcp_hydro.hydro import DensityField, ModelParams, drift, profile_field
 from gcp_hydro.lattice import KernelSpec, TorusLattice, discretize
 from gcp_hydro.profiles import InitialProfile
@@ -188,13 +188,11 @@ def test_criterion_9_simulator_vs_master_equation():
     space = StateSpace(lat, k)
     law = master_evolve(profile_law(u0, space), params, space, t_grid[-1], 0.005)
     exact = {t: site_state_marginals(law.law_at(t), space) for t in t_grid}
-    counts = {t: np.zeros((n, k + 1)) for t in t_grid}
-    for r in range(replicas):
-        rng = replica_rng(SEED, r)
-        sim = Simulation(sample_initial(u0, rng), params)
-        for snap in sim.simulate_until(t_grid, rng):
-            for x in range(n):
-                counts[snap.time][x, snap.config.sigma[x]] += 1
+    counts = {}
+    for snap in Simulation(u0, params, SEED, replicas).simulate_until(t_grid):
+        sigma = snap.config.sigma  # (replicas, n)
+        counts[snap.time] = np.stack([np.count_nonzero(sigma == s, axis=0)
+                                      for s in range(k + 1)], axis=1)
     worst_z = 0.0
     for t in t_grid:
         emp = counts[t] / replicas

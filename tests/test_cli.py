@@ -90,7 +90,8 @@ def test_run_qv_check_end_to_end(tmp_path):
         float(cell)
     meta = json.loads((tmp_path / "run.json").read_text())
     assert meta["status"] == "pass"
-    assert meta["schema_version"] == 1
+    assert meta["schema_version"] == 2
+    assert meta["metrics"] == {}  # qv-check runs no simulator
     assert meta["seed"] == cfg["seed"]
     assert "config_sha256" in meta and len(meta["config_sha256"]) == 64
 
@@ -117,14 +118,26 @@ def test_run_determinism_bit_identical(tmp_path):
 
 
 def test_run_worker_count_invariance(tmp_path, monkeypatch):
-    payloads = []
-    for workers in ("1", "2"):
-        monkeypatch.setenv("GCP_HYDRO_WORKERS", workers)
-        cfg = load_config("lln-rate", None, _small_lln_config())
-        out = tmp_path / f"w{workers}"
-        run(cfg, str(out))
-        payloads.append((out / "lln.csv").read_bytes())
-    assert payloads[0] == payloads[1]
+    # replicas span at least 3 blocks of lanes at every size (block_lanes
+    # gives 128, 64 and 32 lanes at n = 128, 256, 512), so two workers
+    # really split the blocks between them
+    runs = {"lln-rate": (["replicas=300", "n_list=[128, 256, 512]", "times=[0.1]",
+                          "h=0.02"], "lln.csv"),
+            "clt-check": (["replicas=500", "n_list=[128]", "times=[0.1]", "h=0.02"],
+                          "clt.csv")}
+    for experiment, (overrides, csv_name) in runs.items():
+        payloads, counters = [], []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("GCP_HYDRO_WORKERS", workers)
+            out = tmp_path / f"{experiment}-w{workers}"
+            run(load_config(experiment, None, overrides), str(out))
+            payloads.append((out / csv_name).read_bytes())
+            counters.append(json.loads((out / "run.json").read_text())["metrics"]["simulator"])
+        assert payloads[0] == payloads[1]
+        assert counters[0] == counters[1]
+        assert counters[0]["events"] > 0
+        assert counters[0]["proposals"] >= counters[0]["events"]
+        assert counters[0]["passive_proposals"] >= counters[0]["passive_accepted"]
 
 
 def test_cli_main_exit_codes(tmp_path):
@@ -138,6 +151,20 @@ def test_cli_main_exit_codes(tmp_path):
     rc = main(["entropy-exact", "--validate-only", "--out", str(tmp_path / "v")])
     assert rc == 0
     assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("experiment, override, field", [
+    ("clt-check", "replicas=100", "replicas"),     # normality diagnostics need 500
+    ("lln-rate", "n_list=[8, 16]", "n_list"),      # the rate fit needs 3 sizes
+    ("init-cov", "replicas=1", "replicas"),        # a covariance needs 2 samples
+])
+def test_unrunnable_sizes_are_config_errors(tmp_path, capsys, experiment, override, field):
+    # each used to fail inside the run (traceback or nan rows) with exit 1,
+    # the code of a failed threshold
+    rc = main([experiment, "--set", override, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_tabulated_kernel_size_mismatch_is_config_error(tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gcp_hydro.gcp import (Simulation, SpinConfig, rates_from_scratch,
+from gcp_hydro.gcp import (Simulation, SpinConfig, block_lanes, rates_from_scratch,
                            replica_rng, sample_initial)
 from gcp_hydro.hydro import DensityField, ModelParams
 from gcp_hydro.lattice import KernelSpec, TorusLattice, discretize
@@ -61,10 +61,10 @@ def test_sample_initial_rejects_bad_simplex():
 def test_rate_table_worked_example():
     # d=1, n=4, k=1, a=1.5, J=1, sigma=(1,0,0,1): r=(1.5,.5,.5,1.5), R=4
     p = _params(n=4, k=1, a=1.5, kernel=KernelSpec.constant(1.0))
-    sim = Simulation(SpinConfig(p.lattice, 1, np.array([1, 0, 0, 1], np.int16)), p)
+    sim = Simulation(SpinConfig(p.lattice, 1, np.array([1, 0, 0, 1], np.int16)), p, seed=0)
     _, rate, total = sim.rate_state()
-    np.testing.assert_allclose(rate, [1.5, 0.5, 0.5, 1.5], atol=1e-15)
-    assert total == pytest.approx(4.0)
+    np.testing.assert_allclose(rate[0], [1.5, 0.5, 0.5, 1.5], atol=1e-15)
+    assert total[0] == pytest.approx(4.0)
 
 
 def test_incremental_update_after_activation():
@@ -72,63 +72,62 @@ def test_incremental_update_after_activation():
     # by column 1 of a non-symmetric table, so a row in its place shows
     spec = KernelSpec.tabulated(np.arange(16.0).reshape(4, 4))
     p = _params(n=4, k=1, a=1.5, kernel=spec)
-    sim = Simulation(SpinConfig(p.lattice, 1, np.array([1, 0, 0, 1], np.int16)), p)
-    sim.events += 1  # counted first, as step() does; at 0 the periodic full refresh runs
-    sim._apply_jump(1)
-    assert np.array_equal(sim.config.sigma, [1, 1, 0, 1])
+    sim = Simulation(SpinConfig(p.lattice, 1, np.array([1, 0, 0, 1], np.int16)), p, seed=0)
+    sim._apply_jumps(np.array([0]), np.array([1]))
+    assert np.array_equal(sim.config.sigma[0], [1, 1, 0, 1])
     _, rate, total = sim.rate_state()
     ref_i, ref_r = rates_from_scratch(sim.config, p)
     np.testing.assert_allclose(rate, ref_r, atol=1e-12)
-    assert rate[1] == pytest.approx(1.5)
-    assert total == pytest.approx(ref_r.sum())
+    assert rate[0, 1] == pytest.approx(1.5)
+    assert total[0] == pytest.approx(ref_r.sum())
+    sim.check_integrity(rtol=1e-12)
 
 
 def test_single_active_site_decay_and_absorption():
     p = _params(n=8, k=1, a=2.0)
     sigma = np.zeros(8, np.int16)
     sigma[3] = 1
-    sim = Simulation(SpinConfig(p.lattice, 1, sigma), p)
-    rng = replica_rng(5, 0)
-    site, holding = sim.step(rng)
-    assert site == 3 and holding > 0
-    assert sim.config.sigma[3] == 0
+    sim = Simulation(SpinConfig(p.lattice, 1, sigma), p, seed=5)
+    sites, holding = sim.step()
+    assert sites[0] == 3 and holding[0] > 0
+    assert sim.config.sigma[0, 3] == 0
     assert sim.absorbed
-    assert sim.step(rng) is None
+    sites, holding = sim.step()
+    assert sites[0] == -1 and holding[0] == 0.0
 
 
 def test_absorption_iff_no_active_sites():
     p = _params(n=6, k=2, a=1.0, kernel=KernelSpec.constant(1.0))
     passive = SpinConfig(p.lattice, 2, np.array([0, 1, 1, 0, 1, 0], np.int16))
-    assert Simulation(passive, p).absorbed
+    assert Simulation(passive, p, seed=0).absorbed
     act = passive.copy()
     act.sigma[2] = 2
-    assert not Simulation(act, p).absorbed
+    assert not Simulation(act, p, seed=0).absorbed
+    both = Simulation(SpinConfig(p.lattice, 2, np.stack([passive.sigma, act.sigma])), p,
+                      seed=0, replicas=2)
+    assert np.array_equal(both.lane_absorbed(), [True, False])
+    assert not both.absorbed
 
 
 def test_pure_death_event_count():
     # J = 0: only initially active sites ever fire, exactly once each
     p = _params(n=32, k=2, a=1.0)
-    rng = replica_rng(11, 0)
-    sigma = rng.integers(0, 3, 32).astype(np.int16)
-    sim = Simulation(SpinConfig(p.lattice, 2, sigma.copy()), p)
-    n_active = int(np.sum(sigma == 2))
+    sigma = replica_rng(11, 0).integers(0, 3, 32).astype(np.int16)
+    sim = Simulation(SpinConfig(p.lattice, 2, sigma.copy()), p, seed=11)
     fired = []
-    while (ev := sim.step(rng)) is not None:
-        fired.append(ev[0])
-    assert len(fired) == n_active
+    while (site := sim.step()[0][0]) >= 0:
+        fired.append(site)
     assert sorted(fired) == sorted(np.flatnonzero(sigma == 2))
+    assert sim.events == len(fired) == sim.toggles
 
 
 def test_exponential_survival_fraction():
     # all sites active, J = 0, a = 1: active fraction at t follows e^{-t}
     n, t, reps = 64, 0.7, 500
     p = _params(n=n, k=1, a=1.0)
-    total = 0
-    for r in range(reps):
-        rng = replica_rng(21, r)
-        sim = Simulation(SpinConfig(p.lattice, 1, np.ones(n, np.int16)), p)
-        snap = sim.simulate_until([t], rng)[0]
-        total += int(np.sum(snap.config.sigma == 1))
+    sim = Simulation(SpinConfig(p.lattice, 1, np.ones(n, np.int16)), p, seed=21, replicas=reps)
+    snap = sim.simulate_until([t])[0]
+    total = int(np.sum(snap.config.sigma == 1))
     pt = math.exp(-t)
     se = math.sqrt(pt * (1.0 - pt) / (n * reps))
     assert abs(total / (n * reps) - pt) < 4.0 * se
@@ -137,49 +136,111 @@ def test_exponential_survival_fraction():
 def test_simulate_until_time_zero_returns_initial():
     p = _params(n=8, k=1, a=1.0, kernel=KernelSpec.constant(1.0))
     sigma = np.array([1, 0, 1, 0, 0, 0, 1, 0], np.int16)
-    sim = Simulation(SpinConfig(p.lattice, 1, sigma.copy()), p)
-    snaps = sim.simulate_until([0.0], replica_rng(3, 0))
+    sim = Simulation(SpinConfig(p.lattice, 1, sigma.copy()), p, seed=3)
+    snaps = sim.simulate_until([0.0])
     assert snaps[0].time == 0.0
-    assert np.array_equal(snaps[0].config.sigma, sigma)
+    assert np.array_equal(snaps[0].config.sigma[0], sigma)
 
 
 def test_simulate_until_rejects_unsorted_or_past_times():
     p = _params(n=4, k=1, a=1.0, kernel=KernelSpec.constant(1.0))
-    sim = Simulation(SpinConfig(p.lattice, 1, np.array([1, 0, 0, 0], np.int16)), p)
-    rng = replica_rng(0, 0)
+    sim = Simulation(SpinConfig(p.lattice, 1, np.array([1, 0, 0, 0], np.int16)), p, seed=0)
     with pytest.raises(ValueError, match="sorted"):
-        sim.simulate_until([0.5, 0.2], rng)
-    sim.simulate_until([0.5], rng)
+        sim.simulate_until([0.5, 0.2])
+    sim.simulate_until([0.5])
     with pytest.raises(ValueError, match="before the current clock"):
-        sim.simulate_until([0.2], rng)
+        sim.simulate_until([0.2])
+
+
+def test_replicas_must_be_a_count_or_unit_range():
+    p = _params(n=4, k=1)
+    u0 = _uniform_field(p, [0.5, 0.5])
+    for bad in (0, range(3, 3), range(0, 6, 2)):
+        with pytest.raises(ValueError, match="replicas"):
+            Simulation(u0, p, seed=0, replicas=bad)
+
+
+# -- counter-based streams ------------------------------------------------------
+
+def test_round_draws_are_philox_counter_rounds():
+    # round j of block b is Generator(Philox(key_b, counter=[0, 0, j, 0])), the
+    # stream of replica_rng(seed, n, b) jumped j times; round 0 is the block's
+    # (B, N) initial draw, and a lane's first proposal reads column `lane` of round 1
+    n, seed = 8, 71
+    p = _params(n=n, k=1, a=1.0)  # J = 0, so every proposal is accepted
+    width = block_lanes(n)
+    block_rng = replica_rng(seed, n, 0)
+    key = block_rng.bit_generator.state["state"]["key"]
+
+    def round_draws(j):
+        return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, j, 0])).random(
+            (3, width))
+    for j in (1, 2, 7):
+        expected = np.random.Generator(block_rng.bit_generator.jumped(j)).random((3, width))
+        assert np.array_equal(round_draws(j), expected)
+    u0 = _uniform_field(p, [0.5, 0.5])
+    reps = range(5, 9)
+    sim = Simulation(u0, p, seed, reps)
+    initial = sample_initial(u0, replica_rng(seed, n, 0), width).sigma[5:9]
+    assert np.array_equal(sim.config.sigma, initial)
+    start_active = sim._members.copy()
+    n_act = (initial == 1).sum(axis=1)
+    sites, holding = sim.step()
+    u = round_draws(1)[:, 5:9]
+    np.testing.assert_array_equal(holding, -np.log1p(-u[0]) / n_act)
+    slot = np.minimum((u[1] * n_act).astype(int), n_act - 1)
+    np.testing.assert_array_equal(sites, start_active[np.arange(4), slot])
+
+
+def _paths(u0, p, seed, reps, times):
+    sim = Simulation(u0, p, seed, reps)
+    return np.stack([s.config.sigma for s in sim.simulate_until(times)], axis=1)
+
+
+@pytest.mark.parametrize("n", [16, 256], ids=["one-block", "block-edges"])
+def test_replica_path_independent_of_its_companions(n):
+    # a replica's path is a pure function of (seed, n, r): stepping it alone,
+    # in a sub-range or in the full range gives the same snapshots bit for bit
+    p = _params(n=n, k=1, a=1.0, kernel=KernelSpec.cosine(0.5))
+    u0 = _uniform_field(p, [0.5, 0.5])
+    width = block_lanes(n)
+    times = [0.3, 0.8]
+    full = _paths(u0, p, 9, 2 * width + 6, times)
+    sub = range(width - 3, 2 * width + 2)  # spans a block edge where blocks are small
+    assert np.array_equal(_paths(u0, p, 9, sub, times), full[sub.start:sub.stop])
+    for r in (0, width - 1, width, 2 * width + 5):
+        assert np.array_equal(_paths(u0, p, 9, range(r, r + 1), times), full[r:r + 1])
 
 
 def test_checkpoint_consistency_bitwise():
+    # observation times consume no randomness: lanes paused at different
+    # rounds resume on their own counters
     for spec in (KernelSpec.cosine(0.5), KernelSpec.constant(2.0)):
         p = _params(n=32, k=2, a=1.0, kernel=spec)
         u0 = _uniform_field(p, [0.3, 0.3, 0.4])
-        rng_a, rng_b = replica_rng(13, 0), replica_rng(13, 0)
-        sim_a = Simulation(sample_initial(u0, rng_a), p)
-        full = sim_a.simulate_until([0.4, 1.1], rng_a)
-        sim_b = Simulation(sample_initial(u0, rng_b), p)
-        first = sim_b.simulate_until([0.4], rng_b)
-        second = sim_b.simulate_until([1.1], rng_b)
+        full = Simulation(u0, p, 13, 40).simulate_until([0.4, 1.1])
+        split = Simulation(u0, p, 13, 40)
+        first = split.simulate_until([0.4])
+        assert len(np.unique(split._round)) > 1
+        second = split.simulate_until([1.1])
         assert np.array_equal(first[0].config.sigma, full[0].config.sigma)
         assert np.array_equal(second[0].config.sigma, full[1].config.sigma)
+        # and observing at 0.4 leaves the path unchanged
+        direct = Simulation(u0, p, 13, 40).simulate_until([1.1])
+        assert np.array_equal(direct[0].config.sigma, full[1].config.sigma)
 
 
 def test_rate_integrity_after_many_steps():
     # kernel mass 1 and a = 0.1: the mean-field top-state density settles
     # at 0.8, so the run stays far from absorption
     p = _params(n=32, k=2, a=0.1, kernel=KernelSpec.cosine(0.8))
-    rng = replica_rng(17, 0)
     u0 = _uniform_field(p, [0.2, 0.3, 0.5])
-    sim = Simulation(sample_initial(u0, rng), p)
-    steps = 0
-    while steps < 10_000 and sim.step(rng) is not None:
-        steps += 1
-    assert steps == 10_000
-    assert not sim.absorbed
+    sim = Simulation(u0, p, seed=17, replicas=4)
+    for _ in range(10_000):
+        sites, _ = sim.step()
+        assert np.all(sites >= 0)
+    assert sim.events == 4 * 10_000
+    assert not np.any(sim.lane_absorbed())
     sim.check_integrity(rtol=1e-8)
 
 
@@ -190,17 +251,17 @@ def test_cosine_replica_absorbs_without_clock_leap():
     from gcp_hydro.profiles import InitialProfile
     p = _params(n=256, k=1, a=1.0, kernel=KernelSpec.cosine(0.5))
     profile = InitialProfile.cosine_simplex([0.55, 0.45], [-0.1, 0.1], 1)
-    rng = replica_rng(1, 256, 0)
-    sim = Simulation(sample_initial(profile_field(profile, p.lattice), rng), p)
+    sim = Simulation(profile_field(profile, p.lattice), p, seed=1, replicas=1)
     for _ in range(100_000):
         if not np.any(sim.config.active_mask()):
             break
-        sim.step(rng)
+        sim.step()
     assert not np.any(sim.config.active_mask())
     assert sim.absorbed
-    t_end = sim.time
-    assert sim.step(rng) is None
-    assert sim.time == t_end
+    t_end = sim.time[0]
+    assert sim.step()[0][0] == -1
+    assert sim.time[0] == t_end
+    assert not np.any(sim.intensity)
 
 
 def test_first_jump_distribution_matches_rate_table():
@@ -209,19 +270,13 @@ def test_first_jump_distribution_matches_rate_table():
     sigma = np.array([1, 0, 0, 1], np.int16)
     probs = np.array([1.5, 0.5, 0.5, 1.5]) / 4.0
     reps = 20_000
-    counts = np.zeros(4)
-    hold = 0.0
-    for r in range(reps):
-        rng = replica_rng(29, r)
-        sim = Simulation(SpinConfig(p.lattice, 1, sigma.copy()), p)
-        site, dt = sim.step(rng)
-        counts[site] += 1
-        hold += dt
-    freq = counts / reps
+    sim = Simulation(SpinConfig(p.lattice, 1, sigma), p, seed=29, replicas=reps)
+    sites, holding = sim.step()
+    freq = np.bincount(sites, minlength=4) / reps
     se = np.sqrt(probs * (1.0 - probs) / reps)
     assert np.all(np.abs(freq - probs) < 4.0 * se)
     # holding times are exponential at the total rate R = 4
-    assert abs(hold / reps - 0.25) < 4.0 * 0.25 / math.sqrt(reps)
+    assert abs(holding.mean() - 0.25) < 4.0 * 0.25 / math.sqrt(reps)
 
 
 def test_constant_kernel_and_tabulated_twin_same_law():
@@ -230,15 +285,10 @@ def test_constant_kernel_and_tabulated_twin_same_law():
     spec_const = KernelSpec.constant(2.0)
     spec_table = KernelSpec.tabulated(np.full((n, n), 2.0))
     means = []
-    for tag, spec in enumerate((spec_const, spec_table)):
+    for seed, spec in ((31, spec_const), (32, spec_table)):
         p = _params(n=n, k=1, a=1.0, kernel=spec)
-        u0 = _uniform_field(p, [0.5, 0.5])
-        vals = []
-        for r in range(reps):
-            rng = replica_rng(31, tag, r)
-            sim = Simulation(sample_initial(u0, rng), p)
-            snap = sim.simulate_until([t], rng)[0]
-            vals.append(np.sum(snap.config.sigma == 1))
+        snap = Simulation(_uniform_field(p, [0.5, 0.5]), p, seed, reps).simulate_until([t])[0]
+        vals = np.sum(snap.config.sigma == 1, axis=1)
         means.append((np.mean(vals), np.std(vals, ddof=1) / math.sqrt(reps)))
     diff = abs(means[0][0] - means[1][0])
     se = math.hypot(means[0][1], means[1][1])
@@ -250,20 +300,18 @@ def test_fast_path_integrity_and_determinism():
     u0 = _uniform_field(p, [0.3, 0.3, 0.4])
     results = []
     for _ in range(2):
-        rng = replica_rng(37, 0)
-        sim = Simulation(sample_initial(u0, rng), p)
+        sim = Simulation(u0, p, seed=37, replicas=8)
         for _ in range(500):
-            if sim.step(rng) is None:
-                break
+            sim.step()
         sim.check_integrity()
         results.append(sim.config.sigma.copy())
     assert np.array_equal(results[0], results[1])
 
 
 def test_fft_kernel_column_updates_match_rates_from_scratch():
-    # above DENSE_SITE_LIMIT each toggle adds or subtracts a rolled copy of
-    # phi while rates_from_scratch convolves by FFT; a non-symmetric kernel
-    # in d=2 makes a wrong roll direction or axis show
+    # above DENSE_SITE_LIMIT each toggle adds or subtracts phi gathered at
+    # wrapped coordinate differences while rates_from_scratch convolves by
+    # FFT; a non-symmetric kernel in d=2 makes a wrong sign or axis show
     from gcp_hydro.lattice import DENSE_SITE_LIMIT
 
     def skew(x, y):
@@ -272,12 +320,10 @@ def test_fft_kernel_column_updates_match_rates_from_scratch():
                        axis=-1)
     p = _params(n=24, k=1, a=0.5, kernel=KernelSpec("skew", {}, skew, 1.8 ** 2, 1.0), d=2)
     assert p.lattice.n_sites > DENSE_SITE_LIMIT
-    rng = replica_rng(43, 0)
-    sim = Simulation(sample_initial(_uniform_field(p, [0.5, 0.5]), rng), p)
-    steps = 0
-    while steps < 2000 and sim.step(rng) is not None:
-        steps += 1
-    assert steps == 2000
+    sim = Simulation(_uniform_field(p, [0.5, 0.5]), p, seed=43, replicas=4)
+    for _ in range(2000):
+        sites, _ = sim.step()
+        assert np.all(sites >= 0)
     sim.check_integrity(rtol=1e-10)
 
 
@@ -299,14 +345,8 @@ def test_simulator_matches_master_equation_k2(spec):
     space = StateSpace(p.lattice, k)
     law = master_evolve(profile_law(u0, space), p, space, t, 0.005)
     exact = site_state_marginals(law.laws[-1], space)
-    counts = np.zeros((n, k + 1))
-    for r in range(reps):
-        rng = replica_rng(43, r)
-        sim = Simulation(sample_initial(u0, rng), p)
-        snap = sim.simulate_until([t], rng)[0]
-        for x in range(n):
-            counts[x, snap.config.sigma[x]] += 1
-    emp = counts / reps
+    sigma = Simulation(u0, p, 43, reps).simulate_until([t])[0].config.sigma
+    emp = np.stack([np.mean(sigma == s, axis=0) for s in range(k + 1)], axis=1)
     se = np.sqrt(np.maximum(exact * (1.0 - exact), 1e-12) / reps)
     assert np.max(np.abs(emp - exact) / se) < 4.0
 
@@ -317,3 +357,5 @@ def test_spin_config_validation():
         SpinConfig(lat, 1, np.array([0, 1, 2, 0], np.int16)).validate()
     with pytest.raises(ValueError, match="lattice size"):
         SpinConfig(lat, 1, np.zeros(3, np.int16)).validate()
+    stack = SpinConfig(lat, 1, np.array([[0, 1, 1, 0], [1, 1, 1, 0]], np.int16)).validate()
+    assert np.array_equal(stack.state_counts(), [[2, 2], [1, 3]])

@@ -106,12 +106,16 @@ def test_kernel_engines_match_explicit_matrix(case):
     n_sites = lat.n_sites
     rng = np.random.default_rng(seed)
     g = rng.normal(size=n_sites)
-    x = int(rng.integers(n_sites))
+    xs = rng.integers(n_sites, size=3)
     peak = float(m.max())
     tol = 1e-12 * peak * np.max(np.abs(g))
     assert np.max(np.abs(kern.conv(g) - m @ g / n_sites)) <= tol
     assert np.max(np.abs(kern.conv_adjoint(g) - m.T @ g / n_sites)) <= tol
-    assert np.max(np.abs(kern.col(x) - m[:, x])) <= 1e-12 * peak
+    # a stack of fields is convolved row by row, columns of J gathered as rows
+    gs = np.stack([g, -2.0 * g])
+    assert np.max(np.abs(kern.conv(gs) - gs @ m.T / n_sites)) <= 2.0 * tol
+    assert np.max(np.abs(kern.conv_adjoint(gs) - gs @ m / n_sites)) <= 2.0 * tol
+    assert np.max(np.abs(kern.col(xs) - m[:, xs].T)) <= 1e-12 * peak
     assert abs(kern.norm_1n - m.sum(axis=1).max() / n_sites) <= 1e-12 * peak
     assert abs(kern.norm_inf - peak) <= 1e-12 * peak
     if n_sites <= DENSE_SITE_LIMIT:

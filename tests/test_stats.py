@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gcp_hydro.fields import TestFunction, centered_field, fluctuation
-from gcp_hydro.gcp import replica_rng, sample_initial
+from gcp_hydro.gcp import Simulation, replica_rng, sample_initial
 from gcp_hydro.hydro import DensityField, ModelParams, integrate
 from gcp_hydro.lattice import KernelSpec, TorusLattice, discretize
 from gcp_hydro.stats import (gamma_field, gamma_quadratic,
@@ -182,13 +182,8 @@ def test_predicted_variance_matches_simulator_nonconstant_f():
     f = TestFunction.cos_mode(1)
     pred = predicted_variance_mild(f, 1, t, traj, p)
     u_t = traj.final()
-    xs = np.empty(reps)
-    for r in range(reps):
-        rng = replica_rng(61, r)
-        from gcp_hydro.gcp import Simulation
-        sim = Simulation(sample_initial(u0, rng), p)
-        snap = sim.simulate_until([t], rng)[0]
-        xs[r] = fluctuation(centered_field(snap.config, u_t), f, 1)
+    snap = Simulation(u0, p, 61, reps).simulate_until([t])[0]
+    xs = fluctuation(centered_field(snap.config, u_t), f, 1)
     emp = float(np.var(xs, ddof=1))
     centered = xs - xs.mean()
     var_se = math.sqrt(max(np.mean(centered ** 4) - np.mean(centered ** 2) ** 2, 0.0) / reps)
