@@ -7,19 +7,27 @@ from the density trajectory.  The production functional is available both
 from first principles (adjoint applied to 1, minus the log-derivative of the
 product measure) and in the closed quadratic form in the centered variables;
 their agreement is the central consistency check of this module.
+
+A configuration's index is sum_x sigma_x (k+1)^x, so reshaping a law to
+``(-1, k+1, stride_x)`` puts the digit of site x on the middle axis.  The
+operator finds its jump targets and the report its site marginals through
+such views, without index arrays over the state space.  A view whose stride
+is small iterates in short runs, so sites below ``StateSpace.split`` are
+viewed in a rotated layout in which their digits vary slowest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
-from .hydro import DensityField, ModelParams, integrate
+from .hydro import DensityField, ModelParams, _grid, integrate
 from .lattice import TorusLattice
 
 STATE_CAP = 1 << 20
-_PRECOMPUTE_CAP = 1 << 23  # S * N beyond this: recompute site terms per sweep
+_ROW_BLOCK = 1 << 16  # states per block of the float active mask in MasterOperator
 
 
 class StateSpace:
@@ -35,8 +43,29 @@ class StateSpace:
         self.k = int(k)
         self.size = size
         self.strides = (k + 1) ** np.arange(n_sites, dtype=np.int64)
-        idx = np.arange(size, dtype=np.int64)
-        self.digits = ((idx[:, None] // self.strides[None, :]) % (k + 1)).astype(np.uint8)
+        self.digits = np.empty((size, n_sites), dtype=np.uint8)
+        levels = np.arange(k + 1, dtype=np.uint8)[None, :, None]
+        for x in range(n_sites):
+            self.digits[:, x].reshape(-1, k + 1, self.strides[x])[...] = levels
+        self.split = n_sites // 2
+        self._low = (k + 1) ** self.split   # states of the sites below split
+
+    def rotate(self, a) -> np.ndarray:
+        """A copy of a law re-indexed with sites split..N-1 varying fastest."""
+        return a.reshape(-1, self._low).T.ravel()
+
+    def unrotate(self, a) -> np.ndarray:
+        """Inverse of ``rotate``."""
+        return a.reshape(self._low, -1).T.ravel()
+
+    def site_shape(self, x) -> tuple:
+        """Shape that puts the digit of site x on axis 1 of a reshaped law:
+        of ``rotate(law)`` for x < split and of the law itself otherwise, so
+        that every site's stride is at least about sqrt(S)."""
+        stride = int(self.strides[x])
+        if x < self.split:
+            stride *= self.size // self._low
+        return (-1, self.k + 1, stride)
 
     def index_of(self, sigma) -> int:
         sigma = np.asarray(sigma, dtype=np.int64)
@@ -53,15 +82,24 @@ class StateSpace:
         return (self.digits.astype(np.int64) @ new_strides).astype(np.int64)
 
 
-def validate_law(law, atol=1e-9) -> np.ndarray:
-    """Clamp tiny negative mass and check normalization."""
+def _clamp_law(law, atol=1e-9):
+    """validate_law, also returning the negative mass it clamped to zero."""
     law = np.asarray(law, dtype=float)
-    if np.min(law) < -1e-12:
-        raise ValueError(f"law has negative mass {np.min(law):.3e} beyond tolerance")
-    law = np.maximum(law, 0.0)
+    low = np.min(law)
+    if low < -1e-12:
+        raise ValueError(f"law has negative mass {low:.3e} beyond tolerance")
+    clamped = 0.0
+    if low < 0.0:
+        clamped = -float(np.sum(law[law < 0.0]))
+        law = np.maximum(law, 0.0)
     if abs(law.sum() - 1.0) > atol:
         raise ValueError(f"law mass {law.sum()} deviates from 1 beyond {atol}")
-    return law
+    return law, clamped
+
+
+def validate_law(law, atol=1e-9) -> np.ndarray:
+    """Clamp tiny negative mass and check normalization."""
+    return _clamp_law(law, atol)[0]
 
 
 def profile_prob(sigma, u: DensityField) -> float:
@@ -75,13 +113,16 @@ def profile_prob(sigma, u: DensityField) -> float:
 
 
 def profile_law(u: DensityField, space: StateSpace) -> np.ndarray:
-    """The full product measure over the enumerated configurations."""
+    """The full product measure over the enumerated configurations.
+
+    Built as the Kronecker product u_{N-1} x ... x u_0, site 0 fastest.
+    """
     uu = u.u
     if np.min(uu) <= 0.0:
         raise ValueError("profile measure needs strictly positive marginals")
-    out = np.ones(space.size)
-    for x in range(space.lattice.n_sites):
-        out *= uu[x, space.digits[:, x]]
+    out = uu[0].copy()
+    for x in range(1, space.lattice.n_sites):
+        out = np.multiply.outer(uu[x], out).ravel()
     return out
 
 
@@ -90,51 +131,63 @@ def relative_entropy(law, u: DensityField, space: StateSpace) -> float:
     law = validate_law(law)
     mu = profile_law(u, space)
     support = law > 0.0
-    if np.any(mu[support] <= 0.0):
+    if not support.all():
+        law, mu = law[support], mu[support]
+    if np.any(mu <= 0.0):
         raise ValueError("law puts mass where the product measure vanishes")
-    return float(np.sum(law[support] * np.log(law[support] / mu[support])))
-
-
-def _site_terms(space: StateSpace, params: ModelParams):
-    """Per-site (target index, jump rate) over all states; rates are
-    a on top-state sites and the kernel average of the active mask otherwise."""
-    n_sites = space.lattice.n_sites
-    k = params.k
-    J = params.kernel.matrix
-    active = (space.digits == k)
-    idx = np.arange(space.size, dtype=np.int64)
-    terms = []
-    for x in range(n_sites):
-        digit = space.digits[:, x]
-        tgt = idx + np.where(digit < k, space.strides[x], -k * space.strides[x])
-        inten = (active.astype(float) @ (J[x] / n_sites))
-        rate = np.where(digit == k, params.a, inten)
-        terms.append((tgt, rate))
-    return terms
+    return float(np.sum(law * np.log(law / mu)))
 
 
 class MasterOperator:
-    """Forward Kolmogorov operator, applied matrix-free over sites."""
+    """Forward Kolmogorov operator, applied matrix-free over sites.
+
+    A jump at site x cycles its digit i -> i+1 mod (k+1) at rate a from the
+    top state k and at rate ``intensity[x]``, the kernel average of the
+    active mask, below it.  In the view of ``site_shape(x)`` each target is
+    the source shifted by one along axis 1.  Row x of ``intensity`` is
+    stored in the layout that ``site_shape(x)`` reads.
+    """
 
     def __init__(self, space: StateSpace, params: ModelParams):
         if params.lattice != space.lattice or params.k != space.k:
             raise ValueError("state space does not match model parameters")
         self.space = space
         self.params = params
-        self._cached = None
-        if space.size * space.lattice.n_sites <= _PRECOMPUTE_CAP:
-            self._cached = _site_terms(space, params)
-            self._exit_rate = np.sum([r for _, r in self._cached], axis=0)
+        self.applies = 0
+        n_sites = space.lattice.n_sites
+        k = params.k
+        J = params.kernel.matrix
+        self.intensity = np.empty((n_sites, space.size))   # (N, S)
+        for lo in range(0, space.size, _ROW_BLOCK):
+            active = (space.digits[lo:lo + _ROW_BLOCK] == k).astype(float)
+            for x in range(n_sites):
+                self.intensity[x, lo:lo + _ROW_BLOCK] = active @ (J[x] / n_sites)
+        self.exit_rate = np.zeros(space.size)
+        for x in range(n_sites):
+            shape = (-1, k + 1, space.strides[x])
+            view = self.exit_rate.reshape(shape)
+            view[:, :k] += self.intensity[x].reshape(shape)[:, :k]
+            view[:, k] += params.a
+        for x in range(space.split):
+            self.intensity[x] = space.rotate(self.intensity[x])
 
     def apply(self, law) -> np.ndarray:
-        terms = self._cached if self._cached is not None else _site_terms(self.space, self.params)
-        out = np.zeros(self.space.size)
-        for tgt, rate in terms:
-            out += np.bincount(tgt, weights=rate * law, minlength=self.space.size)
-        if self._cached is not None:
-            out -= self._exit_rate * law
-        else:
-            out -= np.sum([r for _, r in terms], axis=0) * law
+        self.applies += 1
+        space, k = self.space, self.space.k
+        law = np.asarray(law, dtype=float)
+        layouts = (space.rotate(law), law)
+        out = np.zeros(space.size)
+        flux = np.empty(space.size)
+        for x in range(space.lattice.n_sites):
+            if x == space.split:
+                out = space.unrotate(out)
+            src, shape = layouts[x >= space.split], space.site_shape(x)
+            np.multiply(self.intensity[x], src, out=flux)
+            fv, ov = flux.reshape(shape), out.reshape(shape)
+            np.multiply(src.reshape(shape)[:, k], self.params.a, out=fv[:, k])
+            ov[:, 1:] += fv[:, :k]
+            ov[:, 0] += fv[:, k]
+        out -= self.exit_rate * law
         return out
 
 
@@ -151,33 +204,39 @@ class LawTrajectory:
         return self.laws[i]
 
 
-def master_evolve(initial, params: ModelParams, space: StateSpace, t_end, h) -> LawTrajectory:
-    """RK4 integration of the forward equation for the exact law."""
-    law = validate_law(initial)
-    op = MasterOperator(space, params)
-    steps = max(int(round(t_end / h)), 1) if t_end > 0 else 0
-    h = t_end / steps if steps else h
-    out = np.empty((steps + 1, space.size))
-    out[0] = law
-    for m in range(steps):
+def law_steps(initial, op: MasterOperator, t_end, h):
+    """RK4 on the forward equation, yielding (law, clamped mass) per grid time.
+
+    Only the current law is kept, so a caller that evaluates each grid time
+    as it comes never holds the (T+1, S) trajectory.
+    """
+    steps, h = _grid(t_end, h)
+    law, clamped = _clamp_law(initial)
+    yield law, clamped
+    for _ in range(steps):
         k1 = op.apply(law)
         k2 = op.apply(law + 0.5 * h * k1)
         k3 = op.apply(law + 0.5 * h * k2)
         k4 = op.apply(law + h * k3)
-        law = law + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        law = validate_law(law)
-        out[m + 1] = law
-    times = np.linspace(0.0, steps * h, steps + 1)
-    return LawTrajectory(times, out)
+        law, clamped = _clamp_law(law + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        yield law, clamped
+
+
+def master_evolve(initial, params: ModelParams, space: StateSpace, t_end, h) -> LawTrajectory:
+    """RK4 integration of the forward equation for the exact law."""
+    steps, step = _grid(t_end, h)
+    out = np.empty((steps + 1, space.size))
+    for i, (law, _) in enumerate(law_steps(initial, MasterOperator(space, params), t_end, h)):
+        out[i] = law
+    return LawTrajectory(np.linspace(0.0, steps * step, steps + 1), out)
 
 
 def site_state_marginals(law, space: StateSpace) -> np.ndarray:
     """(N, k+1) matrix of P(sigma_x = i) under the given law."""
     law = np.asarray(law, dtype=float)
-    out = np.empty((space.lattice.n_sites, space.k + 1))
-    for x in range(space.lattice.n_sites):
-        out[x] = np.bincount(space.digits[:, x], weights=law, minlength=space.k + 1)
-    return out
+    layouts = (space.rotate(law), law)
+    return np.stack([layouts[x >= space.split].reshape(space.site_shape(x)).sum(axis=(0, 2))
+                     for x in range(space.lattice.n_sites)])
 
 
 # -- production functional ---------------------------------------------------
@@ -261,6 +320,34 @@ def F_direct_all(space: StateSpace, u: DensityField, dudt, params: ModelParams) 
     return out
 
 
+def production_expectation(law, u: DensityField, op: MasterOperator) -> float:
+    """E_law of the closed production functional, from site marginals.
+
+    With h_x(i) = g_x(i) - sum_j g_x(j) u_x(j) and c = (J/N) u^k the closed
+    form is sum_x h_x(sigma_x) (intensity_x - c_x), so its expectation is
+    sum_{x,i} h_x(i) (Q[x, i] - c_x P(sigma_x = i)) with
+    Q[x, i] = E[1{sigma_x = i} intensity_x].
+    """
+    uu = u.u
+    if np.min(uu) <= 0.0:
+        raise ValueError("closed-form production needs strictly positive marginals")
+    space = op.space
+    n_sites = space.lattice.n_sites
+    law = np.asarray(law, dtype=float)
+    layouts = (space.rotate(law), law)
+    g = _g_table(u)
+    h = g - np.sum(g * uu, axis=1)[:, None]
+    c = (op.params.kernel.matrix / n_sites) @ uu[:, u.k]
+    weighted = np.empty(space.size)
+    q, p = np.empty_like(uu), np.empty_like(uu)
+    for x in range(n_sites):
+        src, shape = layouts[x >= space.split], space.site_shape(x)
+        np.multiply(op.intensity[x], src, out=weighted)
+        q[x] = weighted.reshape(shape).sum(axis=(0, 2))
+        p[x] = src.reshape(shape).sum(axis=(0, 2))
+    return float(np.sum(h * (q - c[:, None] * p)))
+
+
 # -- entropy production report ----------------------------------------------
 
 def double_exp_envelope(c, t):
@@ -298,6 +385,7 @@ class EntropyReport:
     envelope: np.ndarray           # fitted double-exponential bound values
     envelope_constant: float
     step: float
+    metrics: dict = field(default_factory=dict)   # run.json "metrics": counts and stage walls
 
     def inequality_margin(self) -> np.ndarray:
         """production_rhs + 10 h - dH/dt; nonnegative when the bound holds."""
@@ -321,23 +409,43 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h,
 
     The law of the process and the density trajectory are integrated with the
     same step and scheme so the finite-difference entropy derivative and the
-    exactly evaluated right-hand side carry matched truncation errors.
+    exactly evaluated right-hand side carry matched truncation errors.  Each
+    grid time is evaluated as the law reaches it; no law trajectory is kept.
     """
-    space = StateSpace(params.lattice, params.k)
+    clock = perf_counter()
     traj = integrate(u0, params, t_end, h=h)
-    law_traj = master_evolve(profile_law(u0, space), params, space, t_end, h=h)
-    if len(law_traj.times) != len(traj.times):
-        raise ValueError("law and density grids fell out of step")
+    walls = {"density_solve": perf_counter() - clock}
+    clock = perf_counter()
+    space = StateSpace(params.lattice, params.k)
+    op = MasterOperator(space, params)
+    law0 = profile_law(u0, space)
+    walls["operator_build"] = perf_counter() - clock
     m = len(traj.times)
+    if _grid(t_end, h)[0] + 1 != m:
+        raise ValueError("law and density grids fell out of step")
     entropy = np.empty(m)
     rhs = np.empty(m)
-    for i in range(m):
+    clamped = 0.0
+    walls["law_stepping"] = walls["functionals"] = 0.0
+    clock = perf_counter()
+    for i, (law, removed) in enumerate(law_steps(law0, op, t_end, h)):
+        mark = perf_counter()
+        walls["law_stepping"] += mark - clock
         u_i = DensityField(params.lattice, params.k, traj.u[i])
-        entropy[i] = relative_entropy(law_traj.laws[i], u_i, space)
-        rhs[i] = float(np.dot(law_traj.laws[i], F_closed_all(space, u_i, params)))
+        entropy[i] = relative_entropy(law, u_i, space)
+        rhs[i] = production_expectation(law, u_i, op)
+        clamped += removed
+        clock = perf_counter()
+        walls["functionals"] += clock - mark
     step = traj.step
     fd = np.gradient(entropy, step) if m > 1 else np.zeros(1)
     anchor_index = -1 if anchor_time is None else traj.index_of(anchor_time)
     c = fit_envelope_constant(traj.times, entropy, anchor_index=anchor_index)
     envelope = double_exp_envelope(c, traj.times)
-    return EntropyReport(traj.times.copy(), entropy, rhs, fd, envelope, c, step)
+    metrics = {
+        "entropy": {"states": space.size, "rk4_steps": m - 1,
+                    "master_applies": op.applies, "clamped_mass": clamped,
+                    "stage_s": {name: round(s, 6) for name, s in walls.items()}},
+        "ode": {"steps": m - 1, "renormalizations": traj.renormalizations},
+    }
+    return EntropyReport(traj.times.copy(), entropy, rhs, fd, envelope, c, step, metrics)

@@ -495,7 +495,7 @@ def _run_entropy_exact(cfg):
                "min_inequality_margin": float(np.min(report.inequality_margin())),
                "inequality_holds": report.inequality_holds(),
                "under_envelope": report.under_envelope()}
-    return passed, {"entropy": ("entropy", report.rows())}, summary, {}
+    return passed, {"entropy": ("entropy", report.rows())}, summary, report.metrics
 
 
 def _run_concentration(cfg):

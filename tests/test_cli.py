@@ -231,3 +231,20 @@ def test_config_file_roundtrip_through_cli(tmp_path):
     assert rc == 0
     meta = json.loads((tmp_path / "o" / "run.json").read_text())
     assert meta["config"]["times"] == [0.0, 0.25]
+
+
+def test_entropy_exact_reports_engine_and_ode_counts(tmp_path):
+    rc = main(["entropy-exact", "--set", "n_list=[4]", "--set", "times=[0.1]",
+               "--set", "h=0.01", "--out", str(tmp_path / "e")])
+    assert rc == 0
+    meta = json.loads((tmp_path / "e" / "run.json").read_text())
+    assert meta["schema_version"] == 2
+    entropy, ode = meta["metrics"]["entropy"], meta["metrics"]["ode"]
+    assert entropy["states"] == 16
+    assert entropy["rk4_steps"] == 10
+    assert entropy["master_applies"] == 4 * entropy["rk4_steps"]
+    assert entropy["clamped_mass"] >= 0.0
+    assert set(entropy["stage_s"]) == {"density_solve", "operator_build",
+                                       "law_stepping", "functionals"}
+    assert all(s >= 0.0 for s in entropy["stage_s"].values())
+    assert ode == {"steps": 10, "renormalizations": 0}

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gcp_hydro.entropy import (StateSpace,
+from gcp_hydro.entropy import (MasterOperator, StateSpace,
                                F_closed, F_closed_all, F_direct, F_direct_all,
                                entropy_production_check, fit_envelope_constant,
-                               master_evolve, profile_law, profile_prob,
-                               relative_entropy, site_state_marginals,
+                               master_evolve, production_expectation, profile_law,
+                               profile_prob, relative_entropy, site_state_marginals,
                                double_exp_envelope, validate_law)
-from gcp_hydro.hydro import DensityField, ModelParams, drift
+from gcp_hydro.hydro import DensityField, ModelParams, drift, integrate
 from gcp_hydro.lattice import DiscreteKernel, KernelSpec, TorusLattice, discretize
 
 
@@ -220,3 +221,98 @@ def test_envelope_fit_passes_through_anchor():
     c = fit_envelope_constant(times, values, anchor_index=-1)
     assert double_exp_envelope(c, 1.0) == pytest.approx(0.05, rel=1e-9)
     assert fit_envelope_constant(times, np.zeros(3)) == 0.0
+
+
+def test_entropy_report_streams_what_master_evolve_collects():
+    # the report evaluates each grid time as the law is stepped; the same
+    # numbers must come from the collected trajectory and the per-state forms
+    p = _params(n=4, k=2, a=1.1, kernel=KernelSpec.cosine(0.6))
+    rng = np.random.default_rng(9)
+    u0 = _random_field(p, rng, lo=0.3)
+    rep = entropy_production_check(p, u0, 0.2, 0.02)
+    space = StateSpace(p.lattice, 2)
+    laws = master_evolve(profile_law(u0, space), p, space, 0.2, 0.02).laws
+    traj = integrate(u0, p, 0.2, h=0.02)
+    for i, law in enumerate(laws):
+        u_i = DensityField(p.lattice, 2, traj.u[i])
+        assert rep.entropy[i] == relative_entropy(law, u_i, space)
+        assert rep.production_rhs[i] == pytest.approx(
+            float(np.dot(law, F_closed_all(space, u_i, p))), abs=1e-12)
+    assert rep.metrics["entropy"]["master_applies"] == 4 * (len(laws) - 1)
+
+
+# -- differential tests against per-state oracles ------------------------------
+
+@st.composite
+def _systems(draw, max_states=4096):
+    """(params, space, rng): d in {1, 2}, k in {1, 2, 3}, a random
+    non-symmetric tabulated kernel and at most max_states configurations."""
+    d = draw(st.sampled_from((1, 2)))
+    k = draw(st.integers(1, 3))
+    n = draw(st.sampled_from([n for n in range(2, 13) if (k + 1) ** (n ** d) <= max_states]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lat = TorusLattice(d, n)
+    table = rng.uniform(0.0, 2.0, (lat.n_sites, lat.n_sites))
+    a = draw(st.floats(0.2, 2.0))
+    params = ModelParams(a, k, DiscreteKernel(lat, KernelSpec.tabulated(table)))
+    return params, StateSpace(lat, k), rng
+
+
+def _generator_matrix(space, params):
+    """Explicit (S, S) forward generator, built state by state through the codec."""
+    n_sites, k = space.lattice.n_sites, space.k
+    J = params.kernel.matrix
+    G = np.zeros((space.size, space.size))
+    for s in range(space.size):
+        sigma = space.config_of(s).astype(np.int64)
+        active = (sigma == k).astype(float)
+        for x in range(n_sites):
+            rate = params.a if sigma[x] == k else float(J[x] @ active) / n_sites
+            target = sigma.copy()
+            target[x] = (sigma[x] + 1) % (k + 1)
+            G[space.index_of(target), s] += rate
+            G[s, s] -= rate
+    return G
+
+
+@settings(deadline=None, max_examples=15)
+@given(_systems(max_states=1024))
+def test_master_apply_matches_explicit_generator(system):
+    params, space, rng = system
+    G = _generator_matrix(space, params)
+    op = MasterOperator(space, params)
+    for law in (rng.dirichlet(np.ones(space.size)), rng.standard_normal(space.size)):
+        np.testing.assert_allclose(op.apply(law), G @ law, rtol=0, atol=1e-13)
+
+
+@settings(deadline=None, max_examples=15)
+@given(_systems())
+def test_production_expectation_matches_per_state_functionals(system):
+    params, space, rng = system
+    op = MasterOperator(space, params)
+    law = rng.dirichlet(np.ones(space.size))
+    u = _random_field(params, rng)
+    got = production_expectation(law, u, op)
+    assert got == pytest.approx(float(np.dot(law, F_closed_all(space, u, params))),
+                                abs=1e-12)
+    assert got == pytest.approx(
+        float(np.dot(law, F_direct_all(space, u, drift(u, params), params))), abs=1e-12)
+
+
+@settings(deadline=None, max_examples=15)
+@given(_systems())
+def test_relative_entropy_and_marginals_match_per_state_loops(system):
+    params, space, rng = system
+    law = rng.dirichlet(np.full(space.size, 0.5))
+    law[rng.random(space.size) < 0.1] = 0.0
+    law /= law.sum()
+    u = _random_field(params, rng)
+    entropy, marginals = 0.0, np.zeros((space.lattice.n_sites, space.k + 1))
+    for s in range(space.size):
+        sigma = space.config_of(s)
+        if law[s] > 0.0:
+            entropy += law[s] * math.log(law[s] / profile_prob(sigma, u))
+        marginals[np.arange(len(sigma)), sigma] += law[s]
+    assert relative_entropy(law, u, space) == pytest.approx(entropy, rel=1e-12, abs=1e-14)
+    np.testing.assert_allclose(site_state_marginals(law, space), marginals,
+                               rtol=0, atol=1e-14)
