@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gcp_hydro.entropy import LawTrajectory
 from gcp_hydro.hydro import (DensityField, ModelParams,
                              backward_fp, build_A, build_M, colsum_norm,
                              convergence_study, drift, integrate, profile_field,
@@ -211,6 +212,35 @@ def test_backward_duality_three_states():
     pair = np.array([np.mean(np.sum(bw.g[m] * delta[m], axis=1))
                      for m in range(len(bw.times))])
     assert np.max(np.abs(pair - pair[0])) < 1e-5 * max(abs(pair[0]), 1.0)
+
+
+def test_backward_flow_is_fourth_order():
+    # halving h divides the error of g[0] by ~16; a march that swaps the end
+    # nodes or drops the Hermite midpoint correction divides it by ~4
+    p = _params(n=8, k=2, a=1.0, kernel=KernelSpec.cosine(0.5))
+    prof = InitialProfile.cosine_simplex([0.4, 0.35, 0.25], [0.1, -0.04, -0.06], 1)
+    u0 = profile_field(prof, p.lattice)
+    terminal = np.random.default_rng(3).normal(size=(8, 3))
+
+    def g0(h):
+        return backward_fp(terminal, integrate(u0, p, 1.0, h=h), p).g[0]
+
+    ref = g0(1e-3)
+    e1, e2, e3 = (np.max(np.abs(g0(h) - ref)) for h in (0.1, 0.05, 0.025))
+    assert 10.0 < e1 / e2 < 22.0
+    assert 10.0 < e2 / e3 < 22.0
+
+
+@pytest.mark.parametrize("t", [0.25, -0.1, 1.1], ids=["off-grid", "negative", "past-end"])
+@pytest.mark.parametrize("lookup", ["field_at", "law_at"])
+def test_grid_lookup_rejects_times_off_the_grid(lookup, t):
+    p = _params(n=4, k=1, a=1.0, kernel=KernelSpec.cosine(0.5))
+    traj = integrate(_uniform_field(p, [0.6, 0.4]), p, 1.0, h=0.1)
+    at = (traj.field_at if lookup == "field_at"
+          else LawTrajectory(traj.times, traj.u.reshape(len(traj.times), -1)).law_at)
+    at(0.3)
+    with pytest.raises(ValueError, match="not on the"):
+        at(t)
 
 
 def test_restrict_subsamples_matched_points():
