@@ -23,7 +23,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .hydro import DensityField, ModelParams, _grid, integrate
+from .hydro import DensityField, ModelParams, _grid, grid_index, integrate, rk4_step
 from .lattice import TorusLattice
 
 STATE_CAP = 1 << 20
@@ -197,11 +197,7 @@ class LawTrajectory:
     laws: np.ndarray    # (T+1, S)
 
     def law_at(self, t) -> np.ndarray:
-        step = self.times[1] - self.times[0] if len(self.times) > 1 else 1.0
-        i = int(round((t - self.times[0]) / step))
-        if i < 0 or i >= len(self.times) or abs(self.times[i] - t) > 1e-9:
-            raise ValueError(f"time {t} is not on the law grid")
-        return self.laws[i]
+        return self.laws[grid_index(self.times, t)]
 
 
 def law_steps(initial, op: MasterOperator, t_end, h):
@@ -210,25 +206,21 @@ def law_steps(initial, op: MasterOperator, t_end, h):
     Only the current law is kept, so a caller that evaluates each grid time
     as it comes never holds the (T+1, S) trajectory.
     """
-    steps, h = _grid(t_end, h)
+    times, h = _grid(t_end, h)
     law, clamped = _clamp_law(initial)
     yield law, clamped
-    for _ in range(steps):
-        k1 = op.apply(law)
-        k2 = op.apply(law + 0.5 * h * k1)
-        k3 = op.apply(law + 0.5 * h * k2)
-        k4 = op.apply(law + h * k3)
-        law, clamped = _clamp_law(law + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    for _ in times[1:]:
+        law, clamped = _clamp_law(rk4_step(lambda c, v: op.apply(v), law, h))
         yield law, clamped
 
 
 def master_evolve(initial, params: ModelParams, space: StateSpace, t_end, h) -> LawTrajectory:
     """RK4 integration of the forward equation for the exact law."""
-    steps, step = _grid(t_end, h)
-    out = np.empty((steps + 1, space.size))
+    times = _grid(t_end, h)[0]
+    out = np.empty((len(times), space.size))
     for i, (law, _) in enumerate(law_steps(initial, MasterOperator(space, params), t_end, h)):
         out[i] = law
-    return LawTrajectory(np.linspace(0.0, steps * step, steps + 1), out)
+    return LawTrajectory(times, out)
 
 
 def site_state_marginals(law, space: StateSpace) -> np.ndarray:
@@ -421,7 +413,7 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h,
     law0 = profile_law(u0, space)
     walls["operator_build"] = perf_counter() - clock
     m = len(traj.times)
-    if _grid(t_end, h)[0] + 1 != m:
+    if len(_grid(t_end, h)[0]) != m:
         raise ValueError("law and density grids fell out of step")
     entropy = np.empty(m)
     rhs = np.empty(m)
@@ -439,7 +431,7 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h,
         walls["functionals"] += clock - mark
     step = traj.step
     fd = np.gradient(entropy, step) if m > 1 else np.zeros(1)
-    anchor_index = -1 if anchor_time is None else traj.index_of(anchor_time)
+    anchor_index = -1 if anchor_time is None else grid_index(traj.times, anchor_time)
     c = fit_envelope_constant(traj.times, entropy, anchor_index=anchor_index)
     envelope = double_exp_envelope(c, traj.times)
     metrics = {

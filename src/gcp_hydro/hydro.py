@@ -115,14 +115,8 @@ class Trajectory:
     def step(self) -> float:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
-    def index_of(self, t) -> int:
-        i = int(round((t - self.times[0]) / self.step)) if self.step else 0
-        if i < 0 or i >= len(self.times) or abs(self.times[i] - t) > 1e-9:
-            raise ValueError(f"time {t} is not on the trajectory grid")
-        return i
-
     def field_at(self, t) -> DensityField:
-        return DensityField(self.lattice, self.k, self.u[self.index_of(t)])
+        return DensityField(self.lattice, self.k, self.u[grid_index(self.times, t)])
 
     def final(self) -> DensityField:
         return DensityField(self.lattice, self.k, self.u[-1])
@@ -139,12 +133,36 @@ def drift(u, params: ModelParams) -> np.ndarray:
 
 
 def _grid(t_end, h):
+    """(times, h'): the uniform grid on [0, t_end] whose step h' is nearest h."""
     if h <= 0:
         raise ValueError("step h must be > 0")
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
     steps = max(int(round(t_end / h)), 1) if t_end > 0 else 0
-    return steps, (t_end / steps if steps else h)
+    h = t_end / steps if steps else h
+    return np.linspace(0.0, steps * h, steps + 1), h
+
+
+def grid_index(times, t) -> int:
+    """Index of time t on a uniform grid; ValueError when t is not a grid time."""
+    step = times[1] - times[0] if len(times) > 1 else 1.0
+    i = int(round((t - times[0]) / step))
+    if i < 0 or i >= len(times) or abs(times[i] - t) > 1e-9:
+        raise ValueError(f"time {t} is not on the grid {times[0]}..{times[-1]}")
+    return i
+
+
+def rk4_step(rate, y, h):
+    """One classical RK4 step of dy/dt = rate(c, y) from y over a step h.
+
+    c in {0, 1/2, 1} is the stage's fraction of the step, for a rate whose
+    coefficients are known at those nodes only.  A negative h marches backward.
+    """
+    k1 = rate(0.0, y)
+    k2 = rate(0.5, y + 0.5 * h * k1)
+    k3 = rate(0.5, y + 0.5 * h * k2)
+    k4 = rate(1.0, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate(u0: DensityField, params: ModelParams, t_end, h=None) -> Trajectory:
@@ -159,17 +177,13 @@ def integrate(u0: DensityField, params: ModelParams, t_end, h=None) -> Trajector
         raise ValueError("initial field does not match model parameters")
     if h is None:
         h = params.default_step()
-    steps, h = _grid(t_end, h)
-    out = np.empty((steps + 1,) + u0.u.shape)
+    times, h = _grid(t_end, h)
+    out = np.empty(times.shape + u0.u.shape)
     out[0] = u0.u
     renorms = 0
     u = u0.u.copy()
-    for m in range(steps):
-        k1 = drift(u, params)
-        k2 = drift(u + 0.5 * h * k1, params)
-        k3 = drift(u + 0.5 * h * k2, params)
-        k4 = drift(u + h * k3, params)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    for m in range(len(times) - 1):
+        u = rk4_step(lambda c, v: drift(v, params), u, h)
         if not np.all(np.isfinite(u)):
             raise ValueError(f"non-finite state at step {m + 1}; reduce h")
         if np.min(u) < -MASS_TOL:
@@ -180,7 +194,6 @@ def integrate(u0: DensityField, params: ModelParams, t_end, h=None) -> Trajector
             u = u / sums[:, None]
             renorms += 1
         out[m + 1] = u
-    times = np.linspace(0.0, steps * h, steps + 1)
     return Trajectory(u0.lattice, u0.k, times, out, renormalizations=renorms)
 
 
@@ -267,20 +280,16 @@ class BackwardTestField:
     times: np.ndarray     # (T+1,), same grid as the forward trajectory
     g: np.ndarray         # (T+1, N, k+1); g[-1] is the terminal datum
 
-    def at(self, s) -> np.ndarray:
-        i = int(round((s - self.times[0]) / (self.times[1] - self.times[0])))
-        if abs(self.times[i] - s) > 1e-9:
-            raise ValueError(f"time {s} is not on the backward grid")
-        return self.g[i]
-
 
 def backward_fp(f_terminal, u_traj: Trajectory, params: ModelParams) -> BackwardTestField:
     """Solve the adjoint equation backward from g_t = f on the trajectory grid.
 
         ds g + A* g + (J^n * u^k_s) M* g + (J^n* * <g, M u_s>) e_k = 0
 
-    Coefficients at the RK4 midpoints use cubic Hermite interpolation of the
-    forward trajectory, keeping the fourth-order accuracy of the march.
+    Each step is ``rk4_step`` on -h from s_{m+1} to s_m, with the forward
+    states at its nodes: u_{m+1} at the start, u_m at the end, and at the
+    midpoint the cubic Hermite interpolant of the trajectory, which keeps the
+    march fourth order.
     """
     f = np.asarray(f_terminal, dtype=float)
     if f.shape != u_traj.u.shape[1:]:
@@ -288,8 +297,6 @@ def backward_fp(f_terminal, u_traj: Trajectory, params: ModelParams) -> Backward
                          f"have shape {u_traj.u.shape[1:]}")
     if not np.all(np.isfinite(f)):
         raise ValueError("terminal field has non-finite entries")
-    times = u_traj.times
-    steps = len(times) - 1
     h = u_traj.step
     A, M, kern, k = params.A, params.M, params.kernel, params.k
 
@@ -301,18 +308,13 @@ def backward_fp(f_terminal, u_traj: Trajectory, params: ModelParams) -> Backward
         out[:, k] += kern.conv_adjoint(inner)
         return -out
 
-    out = np.empty((steps + 1,) + f.shape)
-    out[steps] = f
-    g = f.copy()
-    if steps:
-        du = np.array([drift(u_traj.u[m], params) for m in range(steps + 1)])
-    for m in range(steps - 1, -1, -1):
+    du = np.array([drift(u, params) for u in u_traj.u])
+    out = np.empty(u_traj.u.shape)
+    out[-1] = g = f
+    for m in range(len(out) - 2, -1, -1):
         u0, u1 = u_traj.u[m], u_traj.u[m + 1]
         umid = 0.5 * (u0 + u1) + (h / 8.0) * (du[m] - du[m + 1])
-        k1 = rhs(u1, g)
-        k2 = rhs(umid, g - 0.5 * h * k1)
-        k3 = rhs(umid, g - 0.5 * h * k2)
-        k4 = rhs(u0, g - h * k3)
-        g = g - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        nodes = {0.0: u1, 0.5: umid, 1.0: u0}
+        g = rk4_step(lambda c, v: rhs(nodes[c], v), g, -h)
         out[m] = g
-    return BackwardTestField(u_traj.lattice, u_traj.k, times.copy(), out)
+    return BackwardTestField(u_traj.lattice, u_traj.k, u_traj.times.copy(), out)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hydro import DensityField, ModelParams, Trajectory
+from .hydro import DensityField, ModelParams, Trajectory, grid_index
 
 RATE_FIT_MIN_POINTS = 3       # a log-log fit with a residual
 NORMALITY_MIN_SAMPLES = 500   # skewness and kurtosis need many samples
@@ -80,7 +80,7 @@ def predicted_variance_mild(f, i, t, u_traj: Trajectory, params: ModelParams) ->
     """
     from .hydro import backward_fp
 
-    idx = u_traj.index_of(t)
+    idx = grid_index(u_traj.times, t)
     sub = Trajectory(u_traj.lattice, u_traj.k, u_traj.times[:idx + 1],
                      u_traj.u[:idx + 1])
     terminal = np.zeros((u_traj.lattice.n_sites, u_traj.k + 1))
