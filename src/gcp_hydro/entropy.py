@@ -27,7 +27,6 @@ from .hydro import DensityField, ModelParams, _grid, grid_index, integrate, rk4_
 from .lattice import TorusLattice
 
 STATE_CAP = 1 << 20
-_ROW_BLOCK = 1 << 16  # states per block of the float active mask in MasterOperator
 
 
 class StateSpace:
@@ -144,8 +143,9 @@ class MasterOperator:
     A jump at site x cycles its digit i -> i+1 mod (k+1) at rate a from the
     top state k and at rate ``intensity[x]``, the kernel average of the
     active mask, below it.  In the view of ``site_shape(x)`` each target is
-    the source shifted by one along axis 1.  Row x of ``intensity`` is
-    stored in the layout that ``site_shape(x)`` reads.
+    the source shifted by one along axis 1.  Row x of ``intensity`` is the
+    Kronecker sum over sites y of (J[x, y] / N) 1{sigma_y = k}, the additive
+    twin of ``profile_law``, stored in the layout that ``site_shape(x)`` reads.
     """
 
     def __init__(self, space: StateSpace, params: ModelParams):
@@ -156,12 +156,14 @@ class MasterOperator:
         self.applies = 0
         n_sites = space.lattice.n_sites
         k = params.k
-        J = params.kernel.matrix
+        J = params.kernel.matrix / n_sites
+        top = np.arange(k + 1) == k
         self.intensity = np.empty((n_sites, space.size))   # (N, S)
-        for lo in range(0, space.size, _ROW_BLOCK):
-            active = (space.digits[lo:lo + _ROW_BLOCK] == k).astype(float)
-            for x in range(n_sites):
-                self.intensity[x, lo:lo + _ROW_BLOCK] = active @ (J[x] / n_sites)
+        for x in range(n_sites):
+            row = J[x, 0] * top
+            for y in range(1, n_sites):
+                row = np.add.outer(J[x, y] * top, row).ravel()
+            self.intensity[x] = row
         self.exit_rate = np.zeros(space.size)
         for x in range(n_sites):
             shape = (-1, k + 1, space.strides[x])
