@@ -16,6 +16,7 @@ import numpy as np
 
 # beyond theta ~ 4 the exponential-moment estimator variance explodes
 DEFAULT_THETAS = tuple(np.geomspace(0.1, 4.0, 9))
+MGF_MIN_REPLICAS = 10_000   # exponential moments have heavy tails; fewer is noise
 
 
 @dataclass
@@ -71,6 +72,11 @@ class CheckResult:
                 self.slack, int(self.passed))
 
 
+def _require_replicas(check, replicas):
+    if replicas < MGF_MIN_REPLICAS:
+        raise ValueError(f"{check} check needs at least {MGF_MIN_REPLICAS} replicas")
+
+
 def _log_mean_exp(values):
     """log mean(e^v) with its delta-method standard error."""
     m = np.mean(np.exp(values))
@@ -79,10 +85,9 @@ def _log_mean_exp(values):
 
 
 def check_hoeffding(sample: SubGaussianSample, thetas=DEFAULT_THETAS,
-                    replicas=10_000, rng=None) -> list:
+                    replicas=MGF_MIN_REPLICAS, rng=None) -> list:
     """log E[e^{theta X}] <= theta^2 a^2 / 8 for centered X with range a."""
-    if replicas < 10_000:
-        raise ValueError("hoeffding check needs at least 1e4 replicas")
+    _require_replicas("hoeffding", replicas)
     rng = rng or np.random.default_rng(0)
     x = sample.sample(rng, replicas)
     out = []
@@ -94,10 +99,9 @@ def check_hoeffding(sample: SubGaussianSample, thetas=DEFAULT_THETAS,
     return out
 
 
-def check_quad(sample: SubGaussianSample, replicas=10_000, rng=None) -> CheckResult:
+def check_quad(sample: SubGaussianSample, replicas=MGF_MIN_REPLICAS, rng=None) -> CheckResult:
     """E[e^{gamma X^2}] <= 3 at gamma = 1 / (4 psi2^2) with psi2 = a/2."""
-    if replicas < 10_000:
-        raise ValueError("quadratic check needs at least 1e4 replicas")
+    _require_replicas("quadratic", replicas)
     rng = rng or np.random.default_rng(0)
     gamma = 1.0 / (4.0 * sample.psi2_bound ** 2)
     x = sample.sample(rng, replicas)
@@ -108,12 +112,11 @@ def check_quad(sample: SubGaussianSample, replicas=10_000, rng=None) -> CheckRes
                        emp <= 3.0 + 4.0 * se)
 
 
-def check_hanson_wright(size, g, replicas=10_000, rng=None,
+def check_hanson_wright(size, g, replicas=MGF_MIN_REPLICAS, rng=None,
                         sample: SubGaussianSample = None) -> CheckResult:
     """E[exp(gamma sum_{i != j} g_ij X_i Y_j)] <= 3 at the bilinear threshold
     gamma = (1024 sum sigma_i^2 sigma_j^2 g_ij^2)^{-1/2}."""
-    if replicas < 10_000:
-        raise ValueError("bilinear check needs at least 1e4 replicas")
+    _require_replicas("bilinear", replicas)
     rng = rng or np.random.default_rng(0)
     sample = sample or rademacher()
     g = np.asarray(g, dtype=float)
@@ -135,8 +138,9 @@ def check_hanson_wright(size, g, replicas=10_000, rng=None,
 
 
 def check_psi2_additivity(s1: SubGaussianSample, s2: SubGaussianSample,
-                          thetas=DEFAULT_THETAS, replicas=10_000, rng=None) -> list:
+                          thetas=DEFAULT_THETAS, replicas=MGF_MIN_REPLICAS, rng=None) -> list:
     """For independent X, Y: log E[e^{theta (X+Y)}] <= theta^2 (psi_X^2 + psi_Y^2)/2."""
+    _require_replicas("psi2-additivity", replicas)
     rng = rng or np.random.default_rng(0)
     x = s1.sample(rng, replicas)
     y = s2.sample(rng, replicas)

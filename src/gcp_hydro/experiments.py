@@ -21,9 +21,9 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .concentration import (centered_indicator, check_hanson_wright,
-                            check_hoeffding, check_psi2_additivity, check_quad,
-                            rademacher)
+from .concentration import (MGF_MIN_REPLICAS, centered_indicator,
+                            check_hanson_wright, check_hoeffding,
+                            check_psi2_additivity, check_quad, rademacher)
 from .entropy import (STATE_CAP, StateSpace, entropy_production_check,
                       profile_law)
 from .fields import TestFunction, carre_du_champ, centered_field, fluctuation, lln_error
@@ -218,6 +218,9 @@ def validate(cfg) -> list:
                  "for its normality diagnostics")
     elif name == "init-cov" and replicas < 2:
         v.append("replicas: init-cov needs replicas >= 2 to estimate a covariance")
+    elif name == "concentration" and replicas < MGF_MIN_REPLICAS:
+        v.append(f"replicas: concentration needs replicas >= {MGF_MIN_REPLICAS} "
+                 "for its exponential-moment estimates")
     if name == "lln-rate" and len(n_list) < RATE_FIT_MIN_POINTS:
         v.append(f"n_list: rate fit needs at least {RATE_FIT_MIN_POINTS} sizes")
     if not isinstance(cfg.get("seed"), int) or cfg["seed"] < 0:

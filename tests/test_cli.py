@@ -157,6 +157,7 @@ def test_cli_main_exit_codes(tmp_path):
     ("clt-check", "replicas=100", "replicas"),     # normality diagnostics need 500
     ("lln-rate", "n_list=[8, 16]", "n_list"),      # the rate fit needs 3 sizes
     ("init-cov", "replicas=1", "replicas"),        # a covariance needs 2 samples
+    ("concentration", "replicas=100", "replicas"), # exponential moments need 1e4
 ])
 def test_unrunnable_sizes_are_config_errors(tmp_path, capsys, experiment, override, field):
     # each used to fail inside the run (traceback or nan rows) with exit 1,

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gcp_hydro.concentration import (SubGaussianSample, centered_indicator,
-                                     check_hanson_wright, check_hoeffding,
+from gcp_hydro.concentration import (MGF_MIN_REPLICAS, SubGaussianSample,
+                                     centered_indicator, check_hanson_wright,
+                                     check_hoeffding,
                                      check_psi2_additivity, check_quad,
                                      donsker_varadhan_two_point, rademacher,
                                      zero_sample)
@@ -68,10 +69,15 @@ def test_hanson_wright_rejects_nonzero_diagonal():
 
 
 def test_replica_minimums_enforced():
-    with pytest.raises(ValueError, match="1e4 replicas"):
-        check_hoeffding(rademacher(), replicas=100)
-    with pytest.raises(ValueError, match="1e4 replicas"):
-        check_quad(rademacher(), replicas=100)
+    few = MGF_MIN_REPLICAS - 1
+    with pytest.raises(ValueError, match="10000 replicas"):
+        check_hoeffding(rademacher(), replicas=few)
+    with pytest.raises(ValueError, match="10000 replicas"):
+        check_quad(rademacher(), replicas=few)
+    with pytest.raises(ValueError, match="10000 replicas"):
+        check_hanson_wright(4, np.zeros((4, 4)), replicas=few)
+    with pytest.raises(ValueError, match="10000 replicas"):
+        check_psi2_additivity(centered_indicator(0.5), rademacher(), replicas=few)
 
 
 def test_psi2_additivity():
