@@ -7,7 +7,7 @@ from gcp_hydro.entropy import LawTrajectory
 from gcp_hydro.hydro import (DensityField, ModelParams,
                              backward_fp, build_A, build_M, colsum_norm,
                              convergence_study, drift, integrate, profile_field,
-                             reference_continuum, restrict, rk4_step)
+                             reference_continuum, restrict)
 from gcp_hydro.lattice import DiscreteKernel, KernelSpec, TorusLattice, discretize
 from gcp_hydro.profiles import InitialProfile
 
@@ -339,16 +339,3 @@ def test_convergence_study_requires_divisible_sizes():
     with pytest.raises(ValueError, match="3 lattice sizes"):
         convergence_study([8, 16], KernelSpec.constant(1.0), prof,
                           1.0, 1, 0.2, n_ref=64)
-
-
-def test_rk4_step_stages_and_stability_polynomial():
-    seen = []
-
-    def rate(c, y):
-        seen.append(c)
-        return -2.0 * y
-
-    z = -2.0 * 0.1
-    assert rk4_step(rate, 1.0, 0.1) == pytest.approx(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24,
-                                                     rel=1e-15)
-    assert seen == [0.0, 0.5, 0.5, 1.0]
