@@ -33,8 +33,8 @@ from .io_utils import config_hash, write_csv, write_json
 from .lattice import KernelSpec, TorusLattice, discretize
 from .profiles import InitialProfile
 from .stats import (NORMALITY_MIN_SAMPLES, RATE_FIT_MIN_POINTS, gamma_field,
-                    normality_diagnostics, predicted_initial_cov,
-                    predicted_variance_mild, rate_fit)
+                    normality_diagnostics, predicted_cov_mild, rate_fit,
+                    terminal_datum)
 
 SCHEMA_VERSION = 2
 
@@ -43,7 +43,7 @@ HEADERS = {
     "lln": ("n", "f", "state", "replicas", "mean_sq_error", "se"),
     "clt_detail": ("replica", "t", "state", "f", "lln_error", "fluctuation"),
     "qv": ("t", "f", "i", "j", "enumerated_mean", "gamma_weighted_sum", "abs_diff"),
-    "init_cov": ("f", "g", "i", "j", "empirical", "predicted", "se", "within_4se"),
+    "cov": ("f", "g", "i", "j", "empirical", "predicted", "se", "within_4se"),
     "entropy": ("t", "entropy", "production_rhs", "envelope"),
     "concentration": ("check", "parameter", "empirical", "bound", "slack", "passed"),
 }
@@ -94,7 +94,7 @@ DEFAULTS = {
         "n_list": [256], "times": [0.0], "replicas": 5000,
         "functions": [{"name": "constant"}, {"name": "cos", "mode": 1},
                       {"name": "sin", "mode": 1}],
-        "seed": 20260810,
+        "seed": 20260810, "skew_limit": 0.2, "kurt_limit": 0.3,
     },
     "entropy-exact": {
         "d": 1, "k": 1, "a": 1.0,
@@ -113,6 +113,7 @@ DEFAULTS = {
 }
 
 MC_EXPERIMENTS = ("lln-rate", "clt-check", "init-cov", "concentration")
+FLUCTUATION_EXPERIMENTS = ("clt-check", "init-cov")
 
 
 class ConfigError(Exception):
@@ -213,11 +214,9 @@ def validate(cfg) -> list:
     replicas = cfg.get("replicas", 0)
     if name in MC_EXPERIMENTS and (not isinstance(replicas, int) or replicas < 1):
         v.append("replicas: Monte Carlo experiments need replicas >= 1")
-    elif name == "clt-check" and replicas < NORMALITY_MIN_SAMPLES:
-        v.append(f"replicas: clt-check needs replicas >= {NORMALITY_MIN_SAMPLES} "
+    elif name in FLUCTUATION_EXPERIMENTS and replicas < NORMALITY_MIN_SAMPLES:
+        v.append(f"replicas: {name} needs replicas >= {NORMALITY_MIN_SAMPLES} "
                  "for its normality diagnostics")
-    elif name == "init-cov" and replicas < 2:
-        v.append("replicas: init-cov needs replicas >= 2 to estimate a covariance")
     elif name == "concentration" and replicas < MGF_MIN_REPLICAS:
         v.append(f"replicas: concentration needs replicas >= {MGF_MIN_REPLICAS} "
                  "for its exponential-moment estimates")
@@ -324,21 +323,21 @@ def _lln_batch(args):
         np.stack([lln_error(w, f, state) ** 2 for f in fns], axis=-1),))
 
 
-def _clt_batch(args):
+def _marginals(cfg):
+    """(f, i) over functions x states, function-major; no state key means every state."""
+    states = cfg.get("state", range(cfg["k"] + 1))
+    return [(f, i) for f in _functions(cfg)
+            for i in ([states] if isinstance(states, int) else states)]
+
+
+def _fluctuation_batch(args):
     cfg, n, t, lo, hi = args
-    f = _functions(cfg)[0]
-    state = int(cfg.get("state", cfg["k"]))
+    marginals = _marginals(cfg)
     dump = bool(cfg.get("dump_configs", False))
     return _observe(cfg, n, t, lo, hi, lambda w, config: (
-        lln_error(w, f, state), fluctuation(w, f, state), config.state_counts(),
-        config.sigma if dump else None))
-
-
-def _init_cov_batch(args):
-    cfg, n, t, lo, hi = args
-    fns = _functions(cfg)
-    return _observe(cfg, n, t, lo, hi, lambda w, config: (np.moveaxis(np.array(
-        [[fluctuation(w, f, i) for i in range(cfg["k"] + 1)] for f in fns]), -1, 0),))
+        np.stack([lln_error(w, f, i) for f, i in marginals], axis=-1),
+        np.stack([fluctuation(w, f, i) for f, i in marginals], axis=-1),
+        config.state_counts(), config.sigma if dump else None))
 
 
 def _replica_tasks(cfg, fn, n, t):
@@ -394,41 +393,54 @@ def _run_lln_rate(cfg):
     return passed, {"lln": ("lln", rows)}, summary, {"simulator": _sum_counters(counters)}
 
 
-def _run_clt_check(cfg):
+def _run_fluctuations(cfg):
+    """clt-check and init-cov: at one time, the covariance of every pair of
+    marginals (f, i) over functions x states lies within 4 SE of the mild
+    solution's, and every marginal's shape within the skewness and kurtosis
+    limits."""
     n = cfg["n_list"][0]
     t = cfg["times"][-1]
     _, params, u0 = _system(cfg, n)
     traj = integrate(u0, params, t, h=cfg.get("h"))
-    f = _functions(cfg)[0]
-    state = int(cfg.get("state", cfg["k"]))
-    predicted = predicted_variance_mild(f, state, t, traj, params)
-    (errors, x, counts, sigmas), counters = _replica_tasks(cfg, _clt_batch, n, t)
-    replica = range(len(x))
-    det_rows = zip(replica, itertools.repeat(t), itertools.repeat(state),
-                   itertools.repeat(f.name), errors.tolist(), x.tolist())
-    count_rows = [(r, t) + tuple(c) for r, c in zip(replica, counts.tolist())]
-    emp_var = float(np.var(x, ddof=1))
-    centered = x - x.mean()
-    m2 = float(np.mean(centered ** 2))
-    m4 = float(np.mean(centered ** 4))
-    var_se = float(np.sqrt(max(m4 - m2 ** 2, 0.0) / len(x)))
-    mom = normality_diagnostics(x)
-    var_ok = abs(emp_var - predicted) <= 4.0 * var_se
-    shape_ok = (abs(mom.skewness) < cfg["skew_limit"]
-                and abs(mom.excess_kurtosis) < cfg["kurt_limit"])
-    summary = {"predicted_variance": predicted, "empirical_variance": emp_var,
-               "variance_se": var_se, "skewness": mom.skewness,
+    marginals = _marginals(cfg)
+    predicted = predicted_cov_mild([terminal_datum(f, i, params.lattice, params.k)
+                                    for f, i in marginals], t, traj, params)
+    (errors, x, counts, sigmas), counters = _replica_tasks(cfg, _fluctuation_batch, n, t)
+    replicas = len(x)
+    centered = [col - col.mean() for col in x.T]
+    cov_rows = []
+    for a, b in itertools.combinations_with_replacement(range(len(marginals)), 2):
+        (f, i), (g, j) = marginals[a], marginals[b]
+        prod = centered[a] * centered[b]
+        emp = float(prod.sum() / (replicas - 1))
+        se = float(np.sqrt(max(np.mean(prod ** 2) - np.mean(prod) ** 2, 0.0) / replicas))
+        pred = float(predicted[a, b])
+        cov_rows.append((f.name, g.name, i, j, emp, pred, se, abs(emp - pred) <= 4.0 * se))
+    moments = [normality_diagnostics(col) for col in x.T]
+    shape_ok = all(abs(m.skewness) < cfg["skew_limit"]
+                   and abs(m.excess_kurtosis) < cfg["kurt_limit"] for m in moments)
+    variance_ok = all(row[-1] for row in cov_rows)
+    first, mom = cov_rows[0], moments[0]
+    summary = {"predicted_variance": first[5], "empirical_variance": first[4],
+               "variance_se": first[6], "skewness": mom.skewness,
                "skewness_se": mom.skewness_se, "excess_kurtosis": mom.excess_kurtosis,
-               "kurtosis_se": mom.kurtosis_se, "variance_ok": var_ok,
-               "shape_ok": shape_ok}
-    payloads = {"clt": ("clt_detail", list(det_rows)),
+               "kurtosis_se": mom.kurtosis_se, "variance_ok": variance_ok,
+               "shape_ok": shape_ok, "pairs": len(cov_rows),
+               "max_abs_skewness": max(abs(m.skewness) for m in moments),
+               "max_abs_excess_kurtosis": max(abs(m.excess_kurtosis) for m in moments)}
+    det_rows = [(r, t, i, f.name, e, v)
+                for r, (es, vs) in enumerate(zip(errors.tolist(), x.tolist()))
+                for (f, i), e, v in zip(marginals, es, vs)]
+    count_rows = [(r, t) + tuple(c) for r, c in enumerate(counts.tolist())]
+    payloads = {"clt": ("clt_detail", det_rows),
                 "clt_counts": (("replica", "t") + tuple(f"count_{i}" for i in range(cfg["k"] + 1)),
-                               count_rows)}
+                               count_rows),
+                "cov": ("cov", cov_rows)}
     if sigmas is not None:
         cfg_rows = [(r, t, site, s) for r, sigma in enumerate(sigmas.tolist())
                     for site, s in enumerate(sigma)]
         payloads["clt_configs"] = (("replica", "t", "site", "state"), cfg_rows)
-    return bool(var_ok and shape_ok), payloads, summary, {"simulator": counters}
+    return variance_ok and shape_ok, payloads, summary, {"simulator": counters}
 
 
 def _run_qv_check(cfg):
@@ -457,32 +469,6 @@ def _run_qv_check(cfg):
     passed = worst <= cfg["tolerance"]
     summary = {"max_abs_diff": worst, "tolerance": cfg["tolerance"]}
     return passed, {"qv": ("qv", rows)}, summary, {}
-
-
-def _run_init_cov(cfg):
-    n = cfg["n_list"][0]
-    _, params, u0 = _system(cfg, n)
-    fns = _functions(cfg)
-    replicas = cfg["replicas"]
-    k = cfg["k"]
-    (x,), counters = _replica_tasks(cfg, _init_cov_batch, n, 0.0)  # (replicas, f, state)
-    rows, all_ok = [], True
-    for fi, f in enumerate(fns):
-        for gi, g in enumerate(fns):
-            if gi < fi:
-                continue
-            for i in range(k + 1):
-                for j in range(i, k + 1):
-                    a = x[:, fi, i] - x[:, fi, i].mean()
-                    b = x[:, gi, j] - x[:, gi, j].mean()
-                    emp = float(np.mean(a * b) * replicas / (replicas - 1))
-                    se = float(np.std(a * b, ddof=1) / np.sqrt(replicas))
-                    pred = predicted_initial_cov(u0, f, g, i, j)
-                    ok = abs(emp - pred) <= 4.0 * se
-                    all_ok = all_ok and ok
-                    rows.append((f.name, g.name, i, j, emp, pred, se, ok))
-    return (all_ok, {"init_cov": ("init_cov", rows)}, {"pairs": len(rows)},
-            {"simulator": counters})
 
 
 def _run_entropy_exact(cfg):
@@ -528,9 +514,9 @@ def _run_concentration(cfg):
 _RUNNERS = {
     "hydro-converge": _run_hydro_converge,
     "lln-rate": _run_lln_rate,
-    "clt-check": _run_clt_check,
+    "clt-check": _run_fluctuations,
     "qv-check": _run_qv_check,
-    "init-cov": _run_init_cov,
+    "init-cov": _run_fluctuations,
     "entropy-exact": _run_entropy_exact,
     "concentration": _run_concentration,
 }

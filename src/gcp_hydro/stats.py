@@ -6,16 +6,17 @@ variation of the fluctuation field: every jump moves one unit of occupation
 between cyclically adjacent states, which fixes the tridiagonal-plus-corner
 band structure and zero row sums.  Predicted variances propagate the initial
 covariance through the adjoint flow and accumulate the gamma form along the
-trajectory.
+trajectory; one polarized form gives every covariance of a set of pairings.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hydro import DensityField, ModelParams, Trajectory, grid_index
+from .hydro import DensityField, ModelParams, Trajectory, backward_fp, grid_index
 
 RATE_FIT_MIN_POINTS = 3       # a log-log fit with a residual
 NORMALITY_MIN_SAMPLES = 500   # skewness and kurtosis need many samples
@@ -46,23 +47,6 @@ def gamma_field(u: DensityField, params: ModelParams) -> np.ndarray:
     return g
 
 
-def gamma_quadratic(u: DensityField, params: ModelParams, vec) -> np.ndarray:
-    """Per-site values <gamma_x v_x, v_x> for a per-site vector field v."""
-    g = gamma_field(u, params)
-    return np.einsum("xij,xi,xj->x", g, vec, vec)
-
-
-def predicted_initial_cov(u0: DensityField, f, g, i, j) -> float:
-    """Initial-field covariance: lattice Riemann sum of the product-measure
-    indicator covariance paired with the two test functions."""
-    fv = f.values_on(u0.lattice)
-    gv = g.values_on(u0.lattice)
-    ui = u0.u[:, i]
-    if i == j:
-        return float(np.mean(fv * gv * ui * (1.0 - ui)))
-    return float(-np.mean(fv * gv * ui * u0.u[:, j]))
-
-
 def initial_cov_vector(u0, gvec, hvec) -> float:
     """Initial covariance extended bilinearly to per-site vector test data."""
     uu = u0.u if isinstance(u0, DensityField) else np.asarray(u0)
@@ -71,29 +55,43 @@ def initial_cov_vector(u0, gvec, hvec) -> float:
     return float(np.mean(np.sum(gvec * hvec * uu, axis=1) - gu * hu))
 
 
-def predicted_variance_mild(f, i, t, u_traj: Trajectory, params: ModelParams) -> float:
-    """Variance of the time-t fluctuation pairing predicted by the mild solution.
+def terminal_datum(f, i, lattice, k) -> np.ndarray:
+    """The per-site vector datum f e_i, shape (N, k+1)."""
+    datum = np.zeros((lattice.n_sites, k + 1))
+    datum[:, i] = f.values_on(lattice)
+    return datum
 
-    Runs the adjoint flow from the terminal datum f e_i back to time zero,
-    takes the initial covariance of the transported datum, and adds the
-    trapezoid-accumulated gamma quadratic form along the trajectory.
+
+def predicted_cov_mild(terminals, t, u_traj: Trajectory, params: ModelParams) -> np.ndarray:
+    """(M, M) covariance of the time-t fluctuation pairings with M terminal data.
+
+    Each datum, shape (N, k+1), is carried back to time zero by the adjoint
+    flow.  Entry (a, b) is the initial covariance of the transported pair
+    plus the trapezoid of <gamma_s g_a, g_b> along the trajectory, with one
+    gamma table per grid time.  Only a <= b is computed and mirrored, so the
+    matrix is exactly symmetric; at t = 0 it is the initial covariance.
     """
-    from .hydro import backward_fp
-
     idx = grid_index(u_traj.times, t)
     sub = Trajectory(u_traj.lattice, u_traj.k, u_traj.times[:idx + 1],
                      u_traj.u[:idx + 1])
-    terminal = np.zeros((u_traj.lattice.n_sites, u_traj.k + 1))
-    terminal[:, i] = f.values_on(u_traj.lattice)
-    bw = backward_fp(terminal, sub, params)
-    var0 = initial_cov_vector(u_traj.u[0], bw.g[0], bw.g[0])
-    if idx == 0:
-        return var0
-    q = np.empty(idx + 1)
-    for m in range(idx + 1):
-        um = DensityField(u_traj.lattice, u_traj.k, u_traj.u[m])
-        q[m] = float(np.mean(gamma_quadratic(um, params, bw.g[m])))
-    return var0 + float(np.trapezoid(q, dx=sub.step))
+    flows = [backward_fp(datum, sub, params).g for datum in terminals]
+    pairs = list(itertools.combinations_with_replacement(range(len(flows)), 2))
+    q = np.empty((len(pairs), idx + 1))
+    for m, um in enumerate(sub.u):
+        gam = gamma_field(DensityField(sub.lattice, sub.k, um), params)
+        for p, (a, b) in enumerate(pairs):
+            q[p, m] = np.mean(np.einsum("xij,xi,xj->x", gam, flows[a][m], flows[b][m]))
+    noise = np.trapezoid(q, dx=sub.step, axis=-1)
+    cov = np.empty((len(flows), len(flows)))
+    for p, (a, b) in enumerate(pairs):
+        cov[a, b] = cov[b, a] = initial_cov_vector(sub.u[0], flows[a][0], flows[b][0]) + noise[p]
+    return cov
+
+
+def predicted_variance_mild(f, i, t, u_traj: Trajectory, params: ModelParams) -> float:
+    """Variance of the time-t fluctuation pairing with f e_i: one diagonal entry."""
+    return float(predicted_cov_mild([terminal_datum(f, i, u_traj.lattice, u_traj.k)],
+                                    t, u_traj, params)[0, 0])
 
 
 @dataclass

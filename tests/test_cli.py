@@ -12,7 +12,7 @@ GOLDEN_HEADERS = {
     "lln": "n,f,state,replicas,mean_sq_error,se",
     "clt_detail": "replica,t,state,f,lln_error,fluctuation",
     "qv": "t,f,i,j,enumerated_mean,gamma_weighted_sum,abs_diff",
-    "init_cov": "f,g,i,j,empirical,predicted,se,within_4se",
+    "cov": "f,g,i,j,empirical,predicted,se,within_4se",
     "entropy": "t,entropy,production_rhs,envelope",
     "concentration": "check,parameter,empirical,bound,slack,passed",
 }
@@ -124,7 +124,9 @@ def test_run_worker_count_invariance(tmp_path, monkeypatch):
     runs = {"lln-rate": (["replicas=300", "n_list=[128, 256, 512]", "times=[0.1]",
                           "h=0.02"], "lln.csv"),
             "clt-check": (["replicas=500", "n_list=[128]", "times=[0.1]", "h=0.02"],
-                          "clt.csv")}
+                          "clt.csv"),
+            "init-cov": (["replicas=500", "n_list=[128]", "times=[0.1]", "h=0.02"],
+                         "cov.csv")}
     for experiment, (overrides, csv_name) in runs.items():
         payloads, counters = [], []
         for workers in ("1", "2"):
@@ -156,7 +158,7 @@ def test_cli_main_exit_codes(tmp_path):
 @pytest.mark.parametrize("experiment, override, field", [
     ("clt-check", "replicas=100", "replicas"),     # normality diagnostics need 500
     ("lln-rate", "n_list=[8, 16]", "n_list"),      # the rate fit needs 3 sizes
-    ("init-cov", "replicas=1", "replicas"),        # a covariance needs 2 samples
+    ("init-cov", "replicas=1", "replicas"),        # normality diagnostics need 500
     ("concentration", "replicas=100", "replicas"), # exponential moments need 1e4
 ])
 def test_unrunnable_sizes_are_config_errors(tmp_path, capsys, experiment, override, field):
@@ -249,3 +251,4 @@ def test_entropy_exact_reports_engine_and_ode_counts(tmp_path):
                                        "law_stepping", "functionals"}
     assert all(s >= 0.0 for s in entropy["stage_s"].values())
     assert ode == {"steps": 10, "renormalizations": 0}
+

@@ -8,10 +8,9 @@ from gcp_hydro.fields import TestFunction, centered_field, fluctuation
 from gcp_hydro.gcp import Simulation, replica_rng, sample_initial
 from gcp_hydro.hydro import DensityField, ModelParams, integrate
 from gcp_hydro.lattice import KernelSpec, TorusLattice, discretize
-from gcp_hydro.stats import (gamma_field, gamma_quadratic,
-                             initial_cov_vector, normality_diagnostics,
-                             predicted_initial_cov, predicted_variance_mild,
-                             rate_fit)
+from gcp_hydro.stats import (gamma_field, initial_cov_vector,
+                             normality_diagnostics, predicted_cov_mild,
+                             predicted_variance_mild, rate_fit, terminal_datum)
 
 
 def _params(n=8, k=1, a=1.0, kernel=None):
@@ -28,6 +27,24 @@ def _random_field(params, rng, lo=0.05):
     u = rng.uniform(lo, 1.0, (params.lattice.n_sites, params.k + 1))
     u /= u.sum(axis=1, keepdims=True)
     return DensityField(params.lattice, params.k, u)
+
+
+def _initial_cov_oracle(u0, f, g, i, j):
+    """Closed form of the product-measure covariance: mean of f g u_i (delta_ij - u_j)."""
+    ui, uj = u0.u[:, i], u0.u[:, j]
+    fg = f.values_on(u0.lattice) * g.values_on(u0.lattice)
+    return float(np.mean(fg * ui * ((i == j) - uj)))
+
+
+def _predicted_cov(u0, params, marginals, t=0.0, h=0.01):
+    """predicted_cov_mild of the pairings with f e_i for each (f, i)."""
+    traj = integrate(u0, params, t, h=h)
+    data = [terminal_datum(f, i, params.lattice, params.k) for f, i in marginals]
+    return predicted_cov_mild(data, t, traj, params)
+
+
+def _initial_cov(u0, params, f, g, i, j):
+    return float(_predicted_cov(u0, params, [(f, i), (g, j)])[0, 1])
 
 
 def test_gamma_worked_example():
@@ -91,20 +108,21 @@ def test_gamma_band_structure_and_psd():
     assert np.max(np.abs(g[:, 1, 3])) == 0.0
     for _ in range(30):
         v = rng.normal(size=(5, 4))
-        assert np.min(gamma_quadratic(u, p, v)) > -1e-10
+        assert np.min(np.einsum("xij,xi,xj->x", g, v, v)) > -1e-10
 
 
 def test_predicted_initial_cov_examples():
     p = _params(n=32, k=1)
     u = _field(p, [0.5, 0.5])
     one = TestFunction.constant()
-    assert predicted_initial_cov(u, one, one, 1, 1) == pytest.approx(0.25)
-    u2 = _field(_params(n=32, k=2), [0.5, 0.5, 0.0])
-    assert predicted_initial_cov(u2, one, one, 2, 0) == 0.0
+    assert _initial_cov(u, p, one, one, 1, 1) == pytest.approx(0.25)
+    p2 = _params(n=32, k=2)
+    u2 = _field(p2, [0.5, 0.5, 0.0])
+    assert _initial_cov(u2, p2, one, one, 2, 0) == 0.0
     # mixed pair: -mean(f g u^i u^j)
     f, g = TestFunction.cos_mode(1), TestFunction.cos_mode(1)
     expected = -0.25 * np.mean(f.values_on(p.lattice) ** 2)
-    assert predicted_initial_cov(u, f, g, 0, 1) == pytest.approx(expected, abs=1e-14)
+    assert _initial_cov(u, p, f, g, 0, 1) == pytest.approx(expected, abs=1e-14)
 
 
 def test_predicted_initial_cov_monte_carlo():
@@ -120,7 +138,7 @@ def test_predicted_initial_cov_monte_carlo():
     b = xs[:, 1] - xs[:, 1].mean()
     emp = float(np.mean(a * b))
     se = float(np.std(a * b, ddof=1) / math.sqrt(reps))
-    assert abs(emp - predicted_initial_cov(u, f, f, 0, 1)) < 4.0 * se
+    assert abs(emp - _initial_cov(u, p, f, f, 0, 1)) < 4.0 * se
 
 
 def test_initial_cov_vector_consistent_with_scalar():
@@ -135,7 +153,7 @@ def test_initial_cov_vector_consistent_with_scalar():
             gv[:, i] = f.values_on(p.lattice)
             hv[:, j] = g.values_on(p.lattice)
             assert initial_cov_vector(u, gv, hv) == pytest.approx(
-                predicted_initial_cov(u, f, g, i, j), abs=1e-13)
+                _initial_cov_oracle(u, f, g, i, j), abs=1e-13)
 
 
 def test_predicted_variance_t0_reduces_to_initial_cov():
@@ -144,7 +162,37 @@ def test_predicted_variance_t0_reduces_to_initial_cov():
     traj = integrate(u0, p, 0.5, h=0.01)
     f = TestFunction.cos_mode(1)
     assert predicted_variance_mild(f, 1, 0.0, traj, p) == pytest.approx(
-        predicted_initial_cov(u0, f, f, 1, 1), abs=1e-14)
+        _initial_cov_oracle(u0, f, f, 1, 1), abs=1e-14)
+
+
+def test_predicted_cov_at_t0_is_the_initial_covariance():
+    rng = np.random.default_rng(4)
+    p = _params(n=16, k=2, kernel=KernelSpec.cosine(0.5))
+    u0 = _random_field(p, rng)
+    marginals = [(f, i) for f in (TestFunction.constant(), TestFunction.cos_mode(1),
+                                  TestFunction.sin_mode(1)) for i in range(3)]
+    cov = _predicted_cov(u0, p, marginals)
+    expected = [[_initial_cov_oracle(u0, f, g, i, j) for g, j in marginals]
+                for f, i in marginals]
+    np.testing.assert_allclose(cov, expected, rtol=0.0, atol=1e-15)
+
+
+def test_predicted_cov_is_symmetric_polarized_and_extends_the_variance():
+    p = _params(n=16, k=2, a=1.2, kernel=KernelSpec.cosine(0.5))
+    u0 = _random_field(p, np.random.default_rng(5))
+    t = 0.3
+    traj = integrate(u0, p, t, h=0.01)
+    rng = np.random.default_rng(6)
+    F, G = rng.normal(size=(2, 16, 3))
+    cov = predicted_cov_mild([F, G, F + G, F - G], t, traj, p)
+    assert np.array_equal(cov, cov.T)
+    assert cov[0, 1] == pytest.approx((cov[2, 2] - cov[3, 3]) / 4.0, abs=1e-12)
+    assert np.all(np.linalg.eigvalsh(cov[:2, :2]) > 0.0)
+    fns = [(TestFunction.cos_mode(1), 0), (TestFunction.sin_mode(1), 2),
+           (TestFunction.constant(), 1)]
+    diag = np.diag(_predicted_cov(u0, p, fns, t=t))
+    for (f, i), d in zip(fns, diag):
+        assert d == pytest.approx(predicted_variance_mild(f, i, t, traj, p), rel=1e-15)
 
 
 def test_predicted_variance_two_state_closed_form():
@@ -170,8 +218,8 @@ def test_predicted_variance_grid_refinement_continuity():
 
 
 def test_predicted_variance_matches_simulator_nonconstant_f():
-    # empirical fluctuation variance for a cosine test function, checked
-    # against the backward-flow prediction
+    # empirical fluctuation covariances of cos, sin and constant test
+    # functions at state 1, checked against the backward-flow prediction
     from gcp_hydro.lattice import discretize
     n, t, reps = 64, 0.4, 1500
     lat = TorusLattice(1, n)
@@ -179,15 +227,18 @@ def test_predicted_variance_matches_simulator_nonconstant_f():
     u0 = DensityField(lat, 1, np.tile([0.55, 0.45], (n, 1))
                       + 0.1 * np.outer(np.cos(2 * np.pi * np.arange(n) / n), [-1.0, 1.0]))
     traj = integrate(u0, p, t, h=0.005)
-    f = TestFunction.cos_mode(1)
-    pred = predicted_variance_mild(f, 1, t, traj, p)
+    fns = [TestFunction.cos_mode(1), TestFunction.sin_mode(1), TestFunction.constant()]
+    pred = predicted_cov_mild([terminal_datum(f, 1, lat, 1) for f in fns], t, traj, p)
     u_t = traj.final()
     snap = Simulation(u0, p, 61, reps).simulate_until([t])[0]
-    xs = fluctuation(centered_field(snap.config, u_t), f, 1)
-    emp = float(np.var(xs, ddof=1))
-    centered = xs - xs.mean()
-    var_se = math.sqrt(max(np.mean(centered ** 4) - np.mean(centered ** 2) ** 2, 0.0) / reps)
-    assert abs(emp - pred) < 4.0 * var_se
+    w = centered_field(snap.config, u_t)
+    centered = [xs - xs.mean() for xs in (fluctuation(w, f, 1) for f in fns)]
+    for a in range(3):
+        for b in range(a, 3):
+            prod = centered[a] * centered[b]
+            emp = float(prod.sum() / (reps - 1))
+            se = math.sqrt(max(np.mean(prod ** 2) - np.mean(prod) ** 2, 0.0) / reps)
+            assert abs(emp - pred[a, b]) < 4.0 * se, (a, b, emp, pred[a, b], se)
 
 
 def test_rate_fit_exact_and_errors():
