@@ -208,9 +208,21 @@ def validate(cfg) -> list:
         v.append("times: observation times must be nonnegative")
     elif any(b <= a for a, b in zip(times, times[1:])):
         v.append("times: observation times must be strictly increasing")
+    elif name not in ("qv-check", "concentration") and len(times) > 1:
+        v.append(f"times: {name} observes one time, the config lists {len(times)}")
     n_list = cfg.get("n_list", [])
     if not n_list or any((not isinstance(n, int)) or n < 2 for n in n_list):
         v.append("n_list: lattice sides must be integers >= 2")
+    elif name in ("qv-check", "entropy-exact") + FLUCTUATION_EXPERIMENTS and len(n_list) > 1:
+        v.append(f"n_list: {name} runs one lattice size, the config lists {len(n_list)}")
+    state, k = cfg.get("state", 0), cfg.get("k")
+    if name in ("lln-rate",) + FLUCTUATION_EXPERIMENTS and isinstance(k, int):
+        several = name in FLUCTUATION_EXPERIMENTS  # one state or a list of distinct ones
+        states = state if several and isinstance(state, list) else [state]
+        if not (states and all(type(s) is int and 0 <= s <= k for s in states)
+                and len(set(states)) == len(states)):
+            what = "one state or a list of distinct states" if several else "one state"
+            v.append(f"state: {name} takes {what} in [0, {k}], got {state!r}")
     replicas = cfg.get("replicas", 0)
     if name in MC_EXPERIMENTS and (not isinstance(replicas, int) or replicas < 1):
         v.append("replicas: Monte Carlo experiments need replicas >= 1")

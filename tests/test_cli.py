@@ -160,6 +160,8 @@ def test_cli_main_exit_codes(tmp_path):
     ("lln-rate", "n_list=[8, 16]", "n_list"),      # the rate fit needs 3 sizes
     ("init-cov", "replicas=1", "replicas"),        # normality diagnostics need 500
     ("concentration", "replicas=100", "replicas"), # exponential moments need 1e4
+    ("clt-check", "state=5", "state"),             # k = 1: states are 0 and 1
+    ("lln-rate", "state=-1", "state"),             # u[:, -1] would read state k
 ])
 def test_unrunnable_sizes_are_config_errors(tmp_path, capsys, experiment, override, field):
     # each used to fail inside the run (traceback or nan rows) with exit 1,
@@ -168,6 +170,35 @@ def test_unrunnable_sizes_are_config_errors(tmp_path, capsys, experiment, overri
     assert rc == 2
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment, override, field", [
+    ("hydro-converge", "times=[0.5, 1.0]", "times"),
+    ("lln-rate", "times=[0.5, 1.0]", "times"),
+    ("clt-check", "times=[0.1, 0.5]", "times"),
+    ("init-cov", "times=[0.0, 0.5]", "times"),
+    ("entropy-exact", "times=[0.5, 1.0]", "times"),
+    ("clt-check", "n_list=[64, 128]", "n_list"),
+    ("init-cov", "n_list=[64, 128]", "n_list"),
+    ("qv-check", "n_list=[2, 4]", "n_list"),
+    ("entropy-exact", "n_list=[2, 4]", "n_list"),
+    ("init-cov", "state=[0, 2, 0]", "state"),
+    ("init-cov", "state=[]", "state"),
+    ("lln-rate", "state=[1, 2]", "state"),
+])
+def test_entries_an_experiment_would_drop_are_config_errors(capsys, experiment, override,
+                                                           field):
+    # each experiment observes only the times, sizes and states it says it
+    # does; a list entry it would silently skip is a config error
+    assert main([experiment, "--set", override, "--validate-only", "--out", "unused"]) == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+
+
+def test_fluctuation_state_takes_an_int_or_a_list():
+    assert validate(load_config("init-cov", None, ["state=[2, 0]"])) == []
+    assert validate(load_config("init-cov", None, ["state=1"])) == []
+    assert "state" not in load_config("init-cov")  # no state key: every state
+    assert validate(load_config("qv-check", None, ["times=[0.0, 0.5]"])) == []
 
 
 def test_tabulated_kernel_size_mismatch_is_config_error(tmp_path, capsys):
