@@ -41,8 +41,16 @@ def write_csv(path, header, rows):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _json_scalar(obj):
+    """NumPy scalars as their Python values; anything else JSON cannot hold is an error."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def write_json(path, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n")
+    """Write JSON atomically; a NumPy bool is written as true/false, never as a string."""
+    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, default=_json_scalar) + "\n")
 
 
 def config_hash(cfg) -> str:

@@ -1,11 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 
 from gcp_hydro.cli import main
 from gcp_hydro.experiments import (DEFAULTS, HEADERS, ConfigError, load_config,
                                    run, validate)
+from gcp_hydro.io_utils import write_json
 
 GOLDEN_HEADERS = {
     "convergence": "n,sup_error",
@@ -283,3 +285,13 @@ def test_entropy_exact_reports_engine_and_ode_counts(tmp_path):
     assert all(s >= 0.0 for s in entropy["stage_s"].values())
     assert ode == {"steps": 10, "renormalizations": 0}
 
+
+def test_write_json_encodes_numpy_scalars_and_rejects_the_rest(tmp_path):
+    # a NumPy bool used to be written as the string "False", which any JSON
+    # reader takes as true
+    path = tmp_path / "side.json"
+    write_json(path, {"ok": np.bool_(False), "x": np.float64(0.25), "n": np.int64(3)})
+    assert json.loads(path.read_text()) == {"ok": False, "x": 0.25, "n": 3}
+    assert '"ok": false' in path.read_text()
+    with pytest.raises(TypeError, match="set"):
+        write_json(tmp_path / "bad.json", {"s": {1, 2}})
