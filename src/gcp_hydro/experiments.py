@@ -215,8 +215,9 @@ def validate(cfg) -> list:
         v.append("n_list: lattice sides must be integers >= 2")
     elif name in ("qv-check", "entropy-exact") + FLUCTUATION_EXPERIMENTS and len(n_list) > 1:
         v.append(f"n_list: {name} runs one lattice size, the config lists {len(n_list)}")
-    state, k = cfg.get("state", 0), cfg.get("k")
-    if name in ("lln-rate",) + FLUCTUATION_EXPERIMENTS and isinstance(k, int):
+    k = cfg.get("k")
+    if "state" in cfg and name in ("lln-rate",) + FLUCTUATION_EXPERIMENTS and isinstance(k, int):
+        state = cfg["state"]
         several = name in FLUCTUATION_EXPERIMENTS  # one state or a list of distinct ones
         states = state if several and isinstance(state, list) else [state]
         if not (states and all(type(s) is int and 0 <= s <= k for s in states)
