@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -177,6 +178,10 @@ def validate(cfg) -> list:
     name = cfg.get("experiment")
     if name not in DEFAULTS:
         return [f"experiment: unknown experiment {name!r}"]
+    try:  # run.json echoes the config, so it must be plain JSON
+        json.dumps(cfg, sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        v.append(f"config: run.json cannot hold the config: {exc}")
     if not isinstance(cfg.get("d"), int) or cfg["d"] < 1:
         v.append("d: spatial dimension must be a positive integer")
     if not isinstance(cfg.get("k"), int) or cfg["k"] < 1:
@@ -215,15 +220,10 @@ def validate(cfg) -> list:
         v.append("n_list: lattice sides must be integers >= 2")
     elif name in ("qv-check", "entropy-exact") + FLUCTUATION_EXPERIMENTS and len(n_list) > 1:
         v.append(f"n_list: {name} runs one lattice size, the config lists {len(n_list)}")
-    k = cfg.get("k")
+    k, state = cfg.get("k"), cfg.get("state")
     if "state" in cfg and name in ("lln-rate",) + FLUCTUATION_EXPERIMENTS and isinstance(k, int):
-        state = cfg["state"]
-        several = name in FLUCTUATION_EXPERIMENTS  # one state or a list of distinct ones
-        states = state if several and isinstance(state, list) else [state]
-        if not (states and all(type(s) is int and 0 <= s <= k for s in states)
-                and len(set(states)) == len(states)):
-            what = "one state or a list of distinct states" if several else "one state"
-            v.append(f"state: {name} takes {what} in [0, {k}], got {state!r}")
+        if type(state) is not int or not 0 <= state <= k:
+            v.append(f"state: {name} takes one state in [0, {k}], got {state!r}")
     replicas = cfg.get("replicas", 0)
     if name in MC_EXPERIMENTS and (not isinstance(replicas, int) or replicas < 1):
         v.append("replicas: Monte Carlo experiments need replicas >= 1")
@@ -338,9 +338,8 @@ def _lln_batch(args):
 
 def _marginals(cfg):
     """(f, i) over functions x states, function-major; no state key means every state."""
-    states = cfg.get("state", range(cfg["k"] + 1))
-    return [(f, i) for f in _functions(cfg)
-            for i in ([states] if isinstance(states, int) else states)]
+    states = [cfg["state"]] if "state" in cfg else range(cfg["k"] + 1)
+    return [(f, i) for f in _functions(cfg) for i in states]
 
 
 def _fluctuation_batch(args):
@@ -438,9 +437,7 @@ def _run_fluctuations(cfg):
                "variance_se": first[6], "skewness": mom.skewness,
                "skewness_se": mom.skewness_se, "excess_kurtosis": mom.excess_kurtosis,
                "kurtosis_se": mom.kurtosis_se, "variance_ok": variance_ok,
-               "shape_ok": shape_ok, "pairs": len(cov_rows),
-               "max_abs_skewness": max(abs(m.skewness) for m in moments),
-               "max_abs_excess_kurtosis": max(abs(m.excess_kurtosis) for m in moments)}
+               "shape_ok": shape_ok, "pairs": len(cov_rows)}
     det_rows = [(r, t, i, f.name, e, v)
                 for r, (es, vs) in enumerate(zip(errors.tolist(), x.tolist()))
                 for (f, i), e, v in zip(marginals, es, vs)]

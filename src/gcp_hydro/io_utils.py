@@ -25,6 +25,8 @@ def _atomic_write(path, text):
 
 
 def _format_cell(v):
+    if type(v) is float:  # the common cell, from tolist(); checked first for speed
+        return repr(v)
     if isinstance(v, (bool, np.bool_)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
@@ -54,5 +56,5 @@ def write_json(path, obj):
 
 
 def config_hash(cfg) -> str:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"), default=str)
+    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
