@@ -28,7 +28,7 @@ from .concentration import (MGF_MIN_REPLICAS, centered_indicator,
 from .entropy import (STATE_CAP, StateSpace, entropy_production_check,
                       profile_law)
 from .fields import TestFunction, carre_du_champ, centered_field, fluctuation, lln_error
-from .gcp import SpinConfig, Simulation, block_lanes, replica_rng
+from .gcp import SpinConfig, Simulation, block_lanes, pass_lanes, replica_rng
 from .hydro import ModelParams, convergence_study, integrate, profile_field
 from .io_utils import config_hash, write_csv, write_json
 from .lattice import KernelSpec, TorusLattice, discretize
@@ -305,27 +305,35 @@ def _concat(parts):
 # -- replica batch tasks (top level for pickling) -----------------------------
 
 def _observe(cfg, n, t, lo, hi, pair):
-    """Replicas [lo, hi) of side n observed at time t, one block of lanes at a time.
+    """Replicas [lo, hi) of side n observed at time t, one pass of whole blocks at a time.
 
-    ``pair(w, config)`` maps one block's stacked centered field and
+    ``pair(w, config)`` maps one pass's stacked centered field and
     configurations to a tuple of arrays with a leading replica axis; returns
-    those joined over the blocks, and the summed simulator counters.
+    those joined over the passes, and the summed simulator counters.
     """
     _, params, u0 = _system(cfg, n)
     u_t = integrate(u0, params, t, h=cfg.get("h")).final() if t > 0 else u0
-    lanes = block_lanes(params.lattice.n_sites)
-    results, counters = [], []
-    for start in range(lo, hi, lanes):  # lo lies on a block edge
-        snap, totals = _snapshot(u0, params, cfg["seed"], range(start, min(start + lanes, hi)), t)
-        results.append(pair(centered_field(snap.config, u_t), snap.config))
+    lanes = pass_lanes(params)
+    out, counters = None, []
+    for start in range(lo, hi, lanes):  # lo lies on a block edge, and so does every pass
+        stop = min(start + lanes, hi)
+        config, totals = _snapshot(u0, params, cfg["seed"], range(start, stop), t)
+        parts = pair(centered_field(config, u_t), config)
+        del config  # before the next pass allocates its lanes
+        if out is None:  # filled in place: no pass leaves an allocation behind
+            out = tuple(None if p is None else np.empty((hi - lo,) + p.shape[1:], p.dtype)
+                        for p in parts)
+        for o, p in zip(out, parts):
+            if o is not None:
+                o[start - lo:stop - lo] = p
         counters.append(totals)
-    return _concat(results), _sum_counters(counters)
+    return out, _sum_counters(counters)
 
 
 def _snapshot(u0, params, seed, replicas, t):
-    """One block's snapshot at t and its counters; the block's state is freed on return."""
+    """One pass's configurations at t and its counters; the pass's state is freed on return."""
     sim = Simulation(u0, params, seed, replicas)
-    return sim.simulate_until([t])[0], sim.counters()
+    return sim.simulate_until([t])[0].config, sim.counters()
 
 
 def _lln_batch(args):
@@ -412,11 +420,8 @@ def _run_fluctuations(cfg):
     limits."""
     n = cfg["n_list"][0]
     t = cfg["times"][-1]
-    _, params, u0 = _system(cfg, n)
-    traj = integrate(u0, params, t, h=cfg.get("h"))
     marginals = _marginals(cfg)
-    predicted = predicted_cov_mild([terminal_datum(f, i, params.lattice, params.k)
-                                    for f, i in marginals], t, traj, params)
+    predicted = _predicted_cov(cfg, n, t, marginals)
     (errors, x, counts, sigmas), counters = _replica_tasks(cfg, _fluctuation_batch, n, t)
     replicas = len(x)
     centered = [col - col.mean() for col in x.T]
@@ -451,6 +456,15 @@ def _run_fluctuations(cfg):
                     for site, s in enumerate(sigma)]
         payloads["clt_configs"] = (("replica", "t", "site", "state"), cfg_rows)
     return variance_ok and shape_ok, payloads, summary, {"simulator": counters}
+
+
+def _predicted_cov(cfg, n, t, marginals):
+    """The mild covariance of the marginals at t; the system and its trajectory
+    are freed on return, before the replicas run."""
+    _, params, u0 = _system(cfg, n)
+    traj = integrate(u0, params, t, h=cfg.get("h"))
+    return predicted_cov_mild([terminal_datum(f, i, params.lattice, params.k)
+                               for f, i in marginals], t, traj, params)
 
 
 def _run_qv_check(cfg):

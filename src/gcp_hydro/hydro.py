@@ -119,7 +119,8 @@ class Trajectory:
         return DensityField(self.lattice, self.k, self.u[grid_index(self.times, t)])
 
     def final(self) -> DensityField:
-        return DensityField(self.lattice, self.k, self.u[-1])
+        """The last field, copied: it does not keep the trajectory alive."""
+        return DensityField(self.lattice, self.k, self.u[-1].copy())
 
 
 def drift(u, params: ModelParams) -> np.ndarray:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import tempfile
 
 import numpy as np
+
+CSV_CHUNK_ROWS = 256  # rows formatted together: bounds the cells held as strings
 
 
 def _atomic_write(path, text):
@@ -24,23 +27,37 @@ def _atomic_write(path, text):
         raise
 
 
-def _format_cell(v):
-    if type(v) is float:  # the common cell, from tolist(); checked first for speed
-        return repr(v)
-    if isinstance(v, (bool, np.bool_)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    return str(v)
+def _formatter(kind):
+    """Cell formatter for one type: floats shortest round-trip, bools as 0/1."""
+    if kind is float:
+        return repr
+    if issubclass(kind, (bool, np.bool_)):
+        return lambda v: str(int(v))
+    if issubclass(kind, np.floating):
+        return lambda v: repr(float(v))
+    if issubclass(kind, np.integer):
+        return lambda v: str(int(v))
+    return str
+
+
+def _format_column(cells):
+    kinds = set(map(type, cells))
+    if len(kinds) == 1:
+        return list(map(_formatter(kinds.pop()), cells))
+    return [_formatter(type(v))(v) for v in cells]
 
 
 def write_csv(path, header, rows):
-    """Write a CSV atomically; float cells use shortest round-trip formatting."""
-    lines = [",".join(header)]
-    lines.extend(",".join(_format_cell(c) for c in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Write a CSV atomically, formatting a column of a chunk of rows at a
+    time; float cells use shortest round-trip formatting."""
+    rows = iter(rows)
+    parts = [",".join(header)]
+    while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+        if set(map(len, chunk)) != {len(header)}:
+            raise ValueError(f"{path}: every row must have the header's {len(header)} cells")
+        columns = [_format_column(cells) for cells in zip(*chunk)]
+        parts.append("\n".join(map(",".join, zip(*columns))))
+    _atomic_write(path, "\n".join(parts) + "\n")
 
 
 def _json_scalar(obj):

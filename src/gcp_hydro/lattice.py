@@ -6,7 +6,10 @@ catalog kernel is a function of x - y, so it is sampled once on the N
 displacements of the lattice, with an explicitly zero diagonal.  Small
 lattices gather the dense circulant matrix from that sample; large ones
 convolve by FFT.  Tabulated kernels are always dense.  Either way the
-normalized convolutions serve every other module.
+normalized convolutions serve every other module.  The simulator reads the
+kernel through a factorization J[x, y] = sum_j P[x, j] Q[y, j] off the
+diagonal: r = 1 for the constant kernel, r = 3^d for the cosine kernel, and
+r = N (P the identity, Q[y] the column J[:, y]) for every other kernel.
 """
 
 from __future__ import annotations
@@ -79,16 +82,18 @@ class KernelSpec:
     it once on its displacements.  A kernel of arbitrary site pairs is what
     ``tabulated`` is for.  ``norm_l1`` is sup_x of the y-integral of J(x, .)
     and ``norm_inf`` the pointwise sup; both are exact for the catalog
-    entries.
+    entries.  ``features(points)``, when given, returns (P, Q), each
+    (len(points), r), with J(x, y) = sum_j P[x, j] Q[y, j].
     """
 
-    def __init__(self, name, params, evaluate, norm_inf, norm_l1, table=None):
+    def __init__(self, name, params, evaluate, norm_inf, norm_l1, table=None, features=None):
         self.name = name
         self.params = dict(params)
         self._evaluate = evaluate
         self.norm_inf = float(norm_inf)
         self.norm_l1 = float(norm_l1)
         self.table = table
+        self.features = features
 
     def __repr__(self):
         return f"KernelSpec({self.name!r}, {self.params!r})"
@@ -107,7 +112,8 @@ class KernelSpec:
             raise ValueError("constant kernel needs c >= 0")
         return cls("constant", {"c": c},
                    lambda x, y: np.full(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]), c),
-                   norm_inf=c, norm_l1=c)
+                   norm_inf=c, norm_l1=c,
+                   features=lambda pts: (np.full((len(pts), 1), c), np.ones((len(pts), 1))))
 
     @classmethod
     def cosine(cls, beta=0.5, d=1):
@@ -120,9 +126,19 @@ class KernelSpec:
             r = _wrap_displacement(x - y)
             return np.prod(1.0 + beta * np.cos(2.0 * np.pi * r), axis=-1)
 
+        def features(pts):
+            # per axis 1 + beta cos(tx - ty) = 1 + beta cos tx cos ty + beta sin tx sin ty;
+            # the product over axes pairs every choice of one term per axis
+            p = q = np.ones((len(pts), 1))
+            for theta in 2.0 * np.pi * pts.T:
+                q_axis = np.stack([np.ones_like(theta), np.cos(theta), np.sin(theta)], axis=1)
+                p = (p[:, :, None] * (q_axis * [1.0, beta, beta])[:, None, :]).reshape(len(pts), -1)
+                q = (q[:, :, None] * q_axis[:, None, :]).reshape(len(pts), -1)
+            return p, q
+
         # each factor integrates to 1 in y; sup of each factor is 1 + |beta|
         return cls("cosine", {"beta": beta}, ev,
-                   norm_inf=(1.0 + abs(beta)) ** d, norm_l1=1.0)
+                   norm_inf=(1.0 + abs(beta)) ** d, norm_l1=1.0, features=features)
 
     @classmethod
     def gaussian(cls, c=1.0, width=0.1, d=1):
@@ -198,7 +214,9 @@ class DiscreteKernel:
     displacements r, with phi(0) = 0.  At N <= DENSE_SITE_LIMIT, and for
     tabulated kernels, the (N, N) matrix J[x, y] = phi(x - y) is stored and
     applied by matvec; above the limit the convolutions are FFTs of phi.
-    Immutable after construction.
+    A spec with ``features`` also stores its (N, r) factors P and Q, sampled
+    at the sites; any other kernel is the rank-N factorization P = identity,
+    Q[y] = J[:, y].  Immutable after construction.
     """
 
     def __init__(self, lattice: TorusLattice, spec: KernelSpec):
@@ -206,7 +224,8 @@ class DiscreteKernel:
         self.spec = spec
         n_sites = lattice.n_sites
         self._axes = tuple(range(lattice.d))
-        self._matrix = self._phi = self._phi_hat = None
+        self._matrix = self._phi = self._phi_hat = self._p = self._q = None
+        self.rank = n_sites
         if spec.table is not None:
             if spec.table.shape != (n_sites, n_sites):
                 raise ValueError("tabulated kernel shape does not match lattice "
@@ -226,6 +245,10 @@ class DiscreteKernel:
         # exact over sites
         self.norm_1n = float(phi.sum()) / n_sites
         self.norm_inf = float(phi.max())
+        if spec.features is not None:
+            self._p, self._q = (np.ascontiguousarray(f, dtype=float)
+                                for f in spec.features(lattice.positions()))
+            self.rank = self._q.shape[1]
         if n_sites <= DENSE_SITE_LIMIT:
             c = lattice.coords(np.arange(n_sites))
             self._matrix = phi.ravel()[lattice.index(c[:, None, :] - c[None, :, :])]
@@ -260,6 +283,23 @@ class DiscreteKernel:
             flat *= n
             flat += (cy[None, :] - cx[:, None]) % n
         return self._phi.ravel()[flat]
+
+    def features_at(self, xs) -> np.ndarray:
+        """Rows Q[xs], (len(xs), rank): what activating site x adds to a lane's sums, times N."""
+        return self.col(xs) if self._q is None else self._q[xs]
+
+    def feature_sums(self, active) -> np.ndarray:
+        """(m, rank) sums n^-d sum_{y active} Q[y] for an (m, N) activity stack."""
+        if self._q is None:
+            return self.conv(active)
+        return np.asarray(active, dtype=float) @ self._q / self.lattice.n_sites
+
+    def contract(self, sums, rows, xs) -> np.ndarray:
+        """sum_j P[xs[i], j] sums[rows[i], j]: the intensity at site xs[i] of the
+        configuration whose feature sums are row rows[i], exact where xs[i] is passive."""
+        if self._p is None:
+            return sums[rows, xs]
+        return np.einsum("ij,ij->i", self._p[xs], sums[rows])
 
     def _apply(self, g, adjoint):
         g = np.asarray(g, dtype=float)

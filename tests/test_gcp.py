@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gcp_hydro.gcp import (Simulation, SpinConfig, block_lanes, rates_from_scratch,
                            replica_rng, sample_initial)
 from gcp_hydro.hydro import DensityField, ModelParams
-from gcp_hydro.lattice import KernelSpec, TorusLattice, discretize
+from gcp_hydro.lattice import DENSE_SITE_LIMIT, KernelSpec, TorusLattice, discretize
 
 
 def _params(n=8, k=1, a=1.0, kernel=None, d=1):
@@ -62,7 +63,7 @@ def test_rate_table_worked_example():
     # d=1, n=4, k=1, a=1.5, J=1, sigma=(1,0,0,1): r=(1.5,.5,.5,1.5), R=4
     p = _params(n=4, k=1, a=1.5, kernel=KernelSpec.constant(1.0))
     sim = Simulation(SpinConfig(p.lattice, 1, np.array([1, 0, 0, 1], np.int16)), p, seed=0)
-    _, rate, total = sim.rate_state()
+    rate, total = sim.rate_state()
     np.testing.assert_allclose(rate[0], [1.5, 0.5, 0.5, 1.5], atol=1e-15)
     assert total[0] == pytest.approx(4.0)
 
@@ -75,8 +76,8 @@ def test_incremental_update_after_activation():
     sim = Simulation(SpinConfig(p.lattice, 1, np.array([1, 0, 0, 1], np.int16)), p, seed=0)
     sim._apply_jumps(np.array([0]), np.array([1]))
     assert np.array_equal(sim.config.sigma[0], [1, 1, 0, 1])
-    _, rate, total = sim.rate_state()
-    ref_i, ref_r = rates_from_scratch(sim.config, p)
+    rate, total = sim.rate_state()
+    ref_r = rates_from_scratch(sim.config, p)[1]
     np.testing.assert_allclose(rate, ref_r, atol=1e-12)
     assert rate[0, 1] == pytest.approx(1.5)
     assert total[0] == pytest.approx(ref_r.sum())
@@ -245,8 +246,8 @@ def test_rate_integrity_after_many_steps():
 
 
 def test_cosine_replica_absorbs_without_clock_leap():
-    # intensities updated by +- kernel columns leave float residue; once no
-    # site is active the process must stop, not fire at a vanishing rate
+    # kernel sums updated by +- features leave float residue; once no site
+    # is active the process must stop, not fire at a vanishing rate
     from gcp_hydro.hydro import profile_field
     from gcp_hydro.profiles import InitialProfile
     p = _params(n=256, k=1, a=1.0, kernel=KernelSpec.cosine(0.5))
@@ -261,7 +262,7 @@ def test_cosine_replica_absorbs_without_clock_leap():
     t_end = sim.time[0]
     assert sim.step()[0][0] == -1
     assert sim.time[0] == t_end
-    assert not np.any(sim.intensity)
+    assert not np.any(sim.sums)
 
 
 def test_first_jump_distribution_matches_rate_table():
@@ -312,8 +313,6 @@ def test_fft_kernel_column_updates_match_rates_from_scratch():
     # above DENSE_SITE_LIMIT each toggle adds or subtracts phi gathered at
     # wrapped coordinate differences while rates_from_scratch convolves by
     # FFT; a non-symmetric kernel in d=2 makes a wrong sign or axis show
-    from gcp_hydro.lattice import DENSE_SITE_LIMIT
-
     def skew(x, y):
         r = x - y - np.round(x - y)
         return np.prod(1.0 + 0.5 * np.cos(2 * np.pi * r) + 0.3 * np.sin(2 * np.pi * r),
@@ -325,6 +324,50 @@ def test_fft_kernel_column_updates_match_rates_from_scratch():
         sites, _ = sim.step()
         assert np.all(sites >= 0)
     sim.check_integrity(rtol=1e-10)
+
+
+# sides on both sides of DENSE_SITE_LIMIT, so both convolution engines serve
+_SIDES = {1: st.one_of(st.integers(4, 40), st.integers(DENSE_SITE_LIMIT + 1, 700)),
+          2: st.sampled_from([6, 24])}
+
+
+@st.composite
+def _factored_case(draw):
+    d = draw(st.integers(1, 2))
+    n = draw(_SIDES[d])
+    name = draw(st.sampled_from(["constant", "cosine", "gaussian", "tabulated"]))
+    seed = draw(st.integers(0, 2 ** 31 - 1))
+    if name == "constant":
+        spec = KernelSpec.constant(draw(st.floats(0.01, 3.0)))
+    elif name == "cosine":
+        spec = KernelSpec.cosine(draw(st.floats(-1.0, 1.0)), d=d)
+    elif name == "gaussian":
+        spec = KernelSpec.gaussian(c=draw(st.floats(0.1, 3.0)),
+                                   width=draw(st.floats(0.02, 0.2)), d=d)
+    else:  # non-symmetric, so a transposed factor shows
+        spec = KernelSpec.tabulated(np.random.default_rng(seed).uniform(0.0, 3.0,
+                                                                        (n ** d, n ** d)))
+    return _params(n=n, k=1, kernel=spec, d=d), seed, draw(st.floats(0.05, 0.95))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_factored_case())
+def test_intensity_from_kernel_sums_matches_rates_from_scratch(case):
+    # the sampler reads a passive site's intensity from its lane's kernel sums:
+    # P[x] . sums for the constant (r = 1) and cosine (r = 3^d) kernels, the
+    # sum itself for every other kernel (r = N); after toggles through the
+    # incremental path it must match the convolution at every passive site
+    p, seed, density = case
+    rng = np.random.default_rng(seed)
+    lanes, n_sites = 3, p.lattice.n_sites
+    sigma = (rng.random((lanes, n_sites)) < density).astype(np.int16)
+    sim = Simulation(SpinConfig(p.lattice, 1, sigma), p, seed=0, replicas=lanes)
+    for _ in range(6):  # at k = 1 every jump toggles
+        sim._apply_jumps(np.arange(lanes), rng.integers(n_sites, size=lanes))
+    rows, xs = np.nonzero(~sim.config.active_mask())
+    got = sim.intensity_at(rows, xs)
+    ref = rates_from_scratch(sim.config, p)[0][rows, xs]
+    assert np.max(np.abs(got - ref), initial=0.0) <= 1e-12 * p.kernel.norm_inf
 
 
 @pytest.mark.parametrize("spec", [
