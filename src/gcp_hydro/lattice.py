@@ -289,7 +289,8 @@ class DiscreteKernel:
         return self.col(xs) if self._q is None else self._q[xs]
 
     def feature_sums(self, active) -> np.ndarray:
-        """(m, rank) sums n^-d sum_{y active} Q[y] for an (m, N) activity stack."""
+        """Feature sums n^-d sum_{y active} Q[y] of an activity field (N,), or of
+        each row of a stack (m, N)."""
         if self._q is None:
             return self.conv(active)
         return np.asarray(active, dtype=float) @ self._q / self.lattice.n_sites

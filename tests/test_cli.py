@@ -7,7 +7,7 @@ import yaml
 from gcp_hydro.cli import main
 from gcp_hydro.experiments import (DEFAULTS, HEADERS, ConfigError, load_config,
                                    run, validate)
-from gcp_hydro.io_utils import write_json
+from gcp_hydro.io_utils import CSV_CHUNK_ROWS, write_csv, write_json
 
 GOLDEN_HEADERS = {
     "convergence": "n,sup_error",
@@ -294,3 +294,22 @@ def test_write_json_encodes_numpy_scalars_and_rejects_the_rest(tmp_path):
     assert '"ok": false' in path.read_text()
     with pytest.raises(TypeError, match="set"):
         write_json(tmp_path / "bad.json", {"s": {1, 2}})
+
+
+def test_write_csv_formats_each_type_and_rejects_ragged_rows(tmp_path):
+    # a column is formatted with one formatter for its type; a column of
+    # mixed types falls back to a formatter per cell, with the same text
+    rows = [(0.1, np.float64(1 / 3), True, np.bool_(False), np.int64(7), 3, "cos", 2.0)
+            for _ in range(CSV_CHUNK_ROWS + 1)]
+    rows[-1] = (np.float64(0.1), 1 / 3, np.bool_(True), False, 7, np.int32(3), "cos", 2)
+    path = tmp_path / "t.csv"
+    write_csv(path, list("abcdefgh"), rows)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "a,b,c,d,e,f,g,h"
+    assert set(lines[1:-1]) == {"0.1,0.3333333333333333,1,0,7,3,cos,2.0"}
+    assert lines[-1] == "0.1,0.3333333333333333,1,0,7,3,cos,2"
+    assert len(lines) == CSV_CHUNK_ROWS + 2
+    write_csv(path, ["a"], iter([]))
+    assert path.read_text() == "a\n"
+    with pytest.raises(ValueError, match="header"):
+        write_csv(path, ["a", "b"], [(1, 2), (3,)])
