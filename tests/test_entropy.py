@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +12,7 @@ from gcp_hydro.entropy import (MasterOperator, StateSpace,
                                master_evolve, production_expectation, profile_law,
                                profile_prob, relative_entropy, site_state_marginals,
                                double_exp_envelope, validate_law)
+from gcp_hydro.experiments import load_config, run
 from gcp_hydro.hydro import DensityField, ModelParams, drift, integrate
 from gcp_hydro.lattice import DiscreteKernel, KernelSpec, TorusLattice, discretize
 
@@ -239,6 +242,33 @@ def test_entropy_report_streams_what_master_evolve_collects():
         assert rep.production_rhs[i] == pytest.approx(
             float(np.dot(law, F_closed_all(space, u_i, p))), abs=1e-12)
     assert rep.metrics["entropy"]["master_applies"] == 4 * (len(laws) - 1)
+
+
+# The exact law, pinned: sha256 of the entropy column of two small runs.  A
+# change to the operator, the law stepping or the relative entropy that is
+# meant to keep the arithmetic must leave these bytes alone.
+_COSINE = 'kernel={"name": "cosine", "beta": 0.5}'
+ENTROPY_PINNED = {
+    # ten sites: five of them are read through the rotated layout
+    "k1": (["k=1", "n_list=[10]", "times=[0.3]", "h=0.01", _COSINE,
+            'profile={"name": "cosine-simplex", "base": [0.5, 0.5], '
+            '"delta": [0.2, -0.2], "mode": 1}'],
+           "73019d951bb6dcc3930071522b0f62906cbf876ee4b72e9aa92f54a5b48765d9"),
+    "k2": (["k=2", "n_list=[6]", "times=[0.3]", "h=0.01", _COSINE,
+            'profile={"name": "cosine-simplex", "base": [0.3, 0.3, 0.4], '
+            '"delta": [0.1, 0.0, -0.1], "mode": 1}'],
+           "c385d8a1bae3f527be2cb5a31f828edadac59a8e77ed58c504c7037149bd3493"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENTROPY_PINNED))
+def test_entropy_column_digest_pinned(case, tmp_path):
+    overrides, digest = ENTROPY_PINNED[case]
+    run(load_config("entropy-exact", None, overrides), str(tmp_path))
+    with open(tmp_path / "entropy.csv") as fh:
+        column = [row["entropy"] for row in csv.DictReader(fh)]
+    assert len(column) == 31
+    assert hashlib.sha256("\n".join(column).encode()).hexdigest() == digest
 
 
 # -- differential tests against per-state oracles ------------------------------
