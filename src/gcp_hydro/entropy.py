@@ -10,10 +10,15 @@ their agreement is the central consistency check of this module.
 
 A configuration's index is sum_x sigma_x (k+1)^x, so reshaping a law to
 ``(-1, k+1, stride_x)`` puts the digit of site x on the middle axis.  The
-operator finds its jump targets and the report its site marginals through
-such views, without index arrays over the state space.  A view whose stride
-is small iterates in short runs, so sites below ``StateSpace.split`` are
-viewed in a rotated layout in which their digits vary slowest.
+operator finds its jump targets and reads its intensities through such
+views, without index arrays over the state space.  A view whose stride is
+small iterates in short runs, so sites below ``StateSpace.split`` are viewed
+in a rotated layout in which their digits vary slowest.  The intensity table
+holds each site's row at sigma_x < k only, the part the operator reads, and
+``apply`` reuses buffers allocated with the operator, so stepping the law
+allocates nothing per site.  Site marginals come from two passes: the row
+sums of the law and of its rotation, each viewed with a row per
+configuration of the sites that vary slowest.
 """
 
 from __future__ import annotations
@@ -49,13 +54,18 @@ class StateSpace:
         self.split = n_sites // 2
         self._low = (k + 1) ** self.split   # states of the sites below split
 
-    def rotate(self, a) -> np.ndarray:
-        """A copy of a law re-indexed with sites split..N-1 varying fastest."""
-        return a.reshape(-1, self._low).T.ravel()
+    def rotate(self, a, out=None) -> np.ndarray:
+        """A law re-indexed with sites split..N-1 varying fastest, written to
+        out (a new array when None)."""
+        out = np.empty(a.size) if out is None else out
+        out.reshape(self._low, -1)[...] = a.reshape(-1, self._low).T
+        return out
 
-    def unrotate(self, a) -> np.ndarray:
+    def unrotate(self, a, out=None) -> np.ndarray:
         """Inverse of ``rotate``."""
-        return a.reshape(self._low, -1).T.ravel()
+        out = np.empty(a.size) if out is None else out
+        out.reshape(-1, self._low)[...] = a.reshape(self._low, -1).T
+        return out
 
     def site_shape(self, x) -> tuple:
         """Shape that puts the digit of site x on axis 1 of a reshaped law:
@@ -141,11 +151,16 @@ class MasterOperator:
     """Forward Kolmogorov operator, applied matrix-free over sites.
 
     A jump at site x cycles its digit i -> i+1 mod (k+1) at rate a from the
-    top state k and at rate ``intensity[x]``, the kernel average of the
-    active mask, below it.  In the view of ``site_shape(x)`` each target is
-    the source shifted by one along axis 1.  Row x of ``intensity`` is the
-    Kronecker sum over sites y of (J[x, y] / N) 1{sigma_y = k}, the additive
-    twin of ``profile_law``, stored in the layout that ``site_shape(x)`` reads.
+    top state k and at the kernel average of the active mask below it.  In
+    the view of ``site_shape(x)`` each target is the source shifted by one
+    along axis 1.  That average is the Kronecker sum over sites y of
+    (J[x, y] / N) 1{sigma_y = k}, the additive twin of ``profile_law``;
+    row x of ``intensity`` holds it only where it is read, at sigma_x < k, as
+    the ``(rows, k, C)`` block of the ``site_shape(x)`` view flattened.
+
+    ``apply`` works in buffers allocated here once (``workspace``), and runs
+    its site loop with the ufunc buffer size lowered to the shortest inner run
+    of a site view, so that strided views are not copied through buffers.
     """
 
     def __init__(self, space: StateSpace, params: ModelParams):
@@ -158,38 +173,67 @@ class MasterOperator:
         k = params.k
         J = params.kernel.matrix / n_sites
         top = np.arange(k + 1) == k
-        self.intensity = np.empty((n_sites, space.size))   # (N, S)
+        self.intensity = np.empty((n_sites, space.size // (k + 1) * k))
+        self.exit_rate = np.zeros(space.size)
         for x in range(n_sites):
             row = J[x, 0] * top
             for y in range(1, n_sites):
                 row = np.add.outer(J[x, y] * top, row).ravel()
-            self.intensity[x] = row
-        self.exit_rate = np.zeros(space.size)
-        for x in range(n_sites):
             shape = (-1, k + 1, space.strides[x])
             view = self.exit_rate.reshape(shape)
-            view[:, :k] += self.intensity[x].reshape(shape)[:, :k]
+            view[:, :k] += row.reshape(shape)[:, :k]
             view[:, k] += params.a
-        for x in range(space.split):
-            self.intensity[x] = space.rotate(self.intensity[x])
+            if x < space.split:
+                row = space.rotate(row)
+            self.intensity[x].reshape(self._below_top(x))[...] = \
+                row.reshape(space.site_shape(x))[:, :k]
+        # rotated law, a * law in both layouts, the rotated sum, the flux
+        self.workspace = tuple(np.empty(space.size) for _ in range(4)) + (
+            np.empty(self.intensity.shape[1]),)
+        # the shortest inner run of a site view, as a multiple of 16 (NumPy's rule)
+        self._bufsize = max(16, min(space.site_shape(x)[2] for x in range(n_sites)) // 16 * 16)
 
-    def apply(self, law) -> np.ndarray:
+    @property
+    def operator_bytes(self) -> int:
+        """Bytes of the intensity table, the exit rates and the workspace."""
+        return sum(a.nbytes for a in (self.intensity, self.exit_rate) + self.workspace)
+
+    def _below_top(self, x) -> tuple:
+        """Shape of the sigma_x < k block of the ``site_shape(x)`` view."""
+        return (-1, self.space.k, self.space.site_shape(x)[2])
+
+    def _flux(self, x, src) -> np.ndarray:
+        """intensity_x times src, a law in the ``site_shape(x)`` view, on its
+        sigma_x < k block, written to the workspace's flux buffer."""
+        below = self._below_top(x)
+        return np.multiply(self.intensity[x].reshape(below), src[:, :self.space.k],
+                           out=self.workspace[-1].reshape(below))
+
+    def apply(self, law, out=None) -> np.ndarray:
+        """The generator applied to law, written to out (fresh when None),
+        which must not overlap law."""
         self.applies += 1
         space, k = self.space, self.space.k
         law = np.asarray(law, dtype=float)
-        layouts = (space.rotate(law), law)
-        out = np.zeros(space.size)
-        flux = np.empty(space.size)
-        for x in range(space.lattice.n_sites):
-            if x == space.split:
-                out = space.unrotate(out)
-            src, shape = layouts[x >= space.split], space.site_shape(x)
-            np.multiply(self.intensity[x], src, out=flux)
-            fv, ov = flux.reshape(shape), out.reshape(shape)
-            np.multiply(src.reshape(shape)[:, k], self.params.a, out=fv[:, k])
-            ov[:, 1:] += fv[:, :k]
-            ov[:, 0] += fv[:, k]
-        out -= self.exit_rate * law
+        if out is None:
+            out = np.empty(space.size)
+        rot, a_law, a_rot, out_rot, _ = self.workspace
+        layouts = (space.rotate(law, out=rot), law)
+        a_layouts = (np.multiply(rot, self.params.a, out=a_rot),
+                     np.multiply(law, self.params.a, out=a_law))
+        out_rot.fill(0.0)
+        sums = (out_rot, out)
+        with np.errstate():
+            np.setbufsize(self._bufsize)
+            for x in range(space.lattice.n_sites):
+                if x == space.split:
+                    space.unrotate(out_rot, out=out)
+                natural, shape = x >= space.split, space.site_shape(x)
+                src = layouts[natural].reshape(shape)
+                ov = sums[natural].reshape(shape)
+                ov[:, 1:] += self._flux(x, src)
+                ov[:, 0] += a_layouts[natural].reshape(shape)[:, k]
+        out -= np.multiply(self.exit_rate, law, out=a_law)
         return out
 
 
@@ -225,12 +269,21 @@ def master_evolve(initial, params: ModelParams, space: StateSpace, t_end, h) -> 
     return LawTrajectory(times, out)
 
 
-def site_state_marginals(law, space: StateSpace) -> np.ndarray:
-    """(N, k+1) matrix of P(sigma_x = i) under the given law."""
+def site_state_marginals(law, space: StateSpace, rotated=None) -> np.ndarray:
+    """(N, k+1) matrix of P(sigma_x = i) under the given law.
+
+    Two passes: the row sums of the law viewed as ``(-1, (k+1)^split)`` are
+    the law of the sites from split on, and those of the rotated law (given,
+    or rotated here) the law of the sites below split; each site's marginal
+    is read from whichever small law holds it.  Row sums are pairwise sums.
+    """
     law = np.asarray(law, dtype=float)
-    layouts = (space.rotate(law), law)
-    return np.stack([layouts[x >= space.split].reshape(space.site_shape(x)).sum(axis=(0, 2))
-                     for x in range(space.lattice.n_sites)])
+    rotated = space.rotate(law) if rotated is None else rotated
+    parts = (law.reshape(-1, space._low).sum(axis=1),
+             rotated.reshape(space._low, -1).sum(axis=1))
+    strides = (space.strides // space._low, space.strides)
+    return np.stack([parts[x < space.split].reshape(-1, space.k + 1, strides[x < space.split][x])
+                     .sum(axis=(0, 2)) for x in range(space.lattice.n_sites)])
 
 
 # -- production functional ---------------------------------------------------
@@ -320,25 +373,28 @@ def production_expectation(law, u: DensityField, op: MasterOperator) -> float:
     With h_x(i) = g_x(i) - sum_j g_x(j) u_x(j) and c = (J/N) u^k the closed
     form is sum_x h_x(sigma_x) (intensity_x - c_x), so its expectation is
     sum_{x,i} h_x(i) (Q[x, i] - c_x P(sigma_x = i)) with
-    Q[x, i] = E[1{sigma_x = i} intensity_x].
+    Q[x, i] = E[1{sigma_x = i} intensity_x].  Q[x, i < k] is read against the
+    operator's half table, in its workspace, and summed pairwise; since
+    E[intensity_x] = ((J/N) P(sigma = k))_x, Q[x, k] is that minus the sum
+    of Q[x, i < k].
     """
     uu = u.u
     if np.min(uu) <= 0.0:
         raise ValueError("closed-form production needs strictly positive marginals")
-    space = op.space
+    space, k = op.space, op.space.k
     n_sites = space.lattice.n_sites
     law = np.asarray(law, dtype=float)
-    layouts = (space.rotate(law), law)
+    layouts = (space.rotate(law, out=op.workspace[0]), law)
     g = _g_table(u)
     h = g - np.sum(g * uu, axis=1)[:, None]
-    c = (op.params.kernel.matrix / n_sites) @ uu[:, u.k]
-    weighted = np.empty(space.size)
-    q, p = np.empty_like(uu), np.empty_like(uu)
+    J = op.params.kernel.matrix / n_sites
+    c = J @ uu[:, k]
+    p = site_state_marginals(law, space, layouts[0])
+    q = np.empty_like(uu)
     for x in range(n_sites):
-        src, shape = layouts[x >= space.split], space.site_shape(x)
-        np.multiply(op.intensity[x], src, out=weighted)
-        q[x] = weighted.reshape(shape).sum(axis=(0, 2))
-        p[x] = src.reshape(shape).sum(axis=(0, 2))
+        src = layouts[x >= space.split].reshape(space.site_shape(x))
+        q[x, :k] = op._flux(x, src).sum(axis=(0, 2))
+    q[:, k] = J @ p[:, k] - q[:, :k].sum(axis=1)
     return float(np.sum(h * (q - c[:, None] * p)))
 
 
@@ -438,7 +494,8 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h,
     envelope = double_exp_envelope(c, traj.times)
     metrics = {
         "entropy": {"states": space.size, "rk4_steps": m - 1,
-                    "master_applies": op.applies, "clamped_mass": clamped,
+                    "master_applies": op.applies, "operator_bytes": op.operator_bytes,
+                    "clamped_mass": clamped,
                     "stage_s": {name: round(s, 6) for name, s in walls.items()}},
         "ode": {"steps": m - 1, "renormalizations": traj.renormalizations},
     }

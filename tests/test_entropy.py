@@ -244,6 +244,21 @@ def test_entropy_report_streams_what_master_evolve_collects():
     assert rep.metrics["entropy"]["master_applies"] == 4 * (len(laws) - 1)
 
 
+@pytest.mark.parametrize("n, k", [(1, 1), (7, 1), (4, 2), (3, 3)])
+def test_operator_bytes_counts_table_exit_rates_and_workspace(n, k):
+    p = _params(n=n, k=k, kernel=KernelSpec.cosine(0.5) if n > 1 else None)
+    op = MasterOperator(StateSpace(p.lattice, k), p)
+    arrays = (op.intensity, op.exit_rate) + op.workspace
+    assert op.operator_bytes == sum(a.nbytes for a in arrays)
+    # the table and the flux buffer hold the sigma_x < k part of a law only
+    size = (k + 1) ** n
+    assert op.intensity.shape == (n, size // (k + 1) * k)
+    assert op.operator_bytes == 8 * ((n + 1) * (size // (k + 1) * k) + 5 * size)
+    rep = entropy_production_check(p, DensityField(p.lattice, k, np.full((n, k + 1), 1 / (k + 1))),
+                                   0.02, 0.01)
+    assert rep.metrics["entropy"]["operator_bytes"] == op.operator_bytes
+
+
 # The exact law, pinned: sha256 of the entropy column of two small runs.  A
 # change to the operator, the law stepping or the relative entropy that is
 # meant to keep the arithmetic must leave these bytes alone.
@@ -311,8 +326,33 @@ def test_master_apply_matches_explicit_generator(system):
     params, space, rng = system
     G = _generator_matrix(space, params)
     op = MasterOperator(space, params)
+    buf = np.full(space.size, np.nan)
     for law in (rng.dirichlet(np.ones(space.size)), rng.standard_normal(space.size)):
         np.testing.assert_allclose(op.apply(law), G @ law, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(op.apply(law, out=buf), G @ law, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (9, 1), (5, 2)])
+def test_apply_into_a_buffer_is_bytewise_apply(n, k):
+    # out= returns the buffer with the bytes of a fresh apply, whatever the
+    # buffer held and whatever the operator applied before; the ufunc buffer
+    # size is lowered for the site loop only
+    p = _params(n=n, k=k, a=0.7, kernel=KernelSpec.cosine(0.6) if n > 1 else None)
+    space = StateSpace(p.lattice, k)
+    op = MasterOperator(space, p)
+    rng = np.random.default_rng(10)
+    laws = [rng.dirichlet(np.ones(space.size)), rng.standard_normal(space.size)]
+    with np.errstate():
+        np.setbufsize(4096)   # the caller's size; no operator within the state cap picks it
+        fresh = [op.apply(law) for law in laws]
+        assert np.getbufsize() == 4096
+        for fill in (np.nan, np.inf, 0.0, -1.0):
+            for law, expected in zip(laws + laws[::-1], fresh + fresh[::-1]):
+                buf = np.full(space.size, fill)
+                assert op.apply(law, out=buf) is buf
+                assert buf.tobytes() == expected.tobytes()
+                assert np.getbufsize() == 4096
+    assert op.applies == 2 + 4 * 4
 
 
 @settings(deadline=None, max_examples=15)
