@@ -353,6 +353,10 @@ def test_apply_into_a_buffer_is_bytewise_apply(n, k):
                 assert buf.tobytes() == expected.tobytes()
                 assert np.getbufsize() == 4096
     assert op.applies == 2 + 4 * 4
+    for bad in (np.empty(2 * space.size)[::2], np.empty(space.size + 1),
+                np.empty(space.size, dtype=np.float32)):
+        with pytest.raises(ValueError, match="contiguous float array"):
+            op.apply(laws[0], out=bad)
 
 
 @settings(deadline=None, max_examples=15)
