@@ -209,16 +209,13 @@ class MasterOperator:
         return np.multiply(self.intensity[x].reshape(below), src[:, :self.space.k],
                            out=self.workspace[-1].reshape(below))
 
-    def apply(self, law, out=None) -> np.ndarray:
-        """The generator applied to law, written to out (fresh when None): a
-        contiguous float array of the law's size that does not overlap law."""
+    def apply(self, law) -> np.ndarray:
+        """The generator applied to law, as a new array; law must not be one
+        of the ``workspace`` buffers."""
         self.applies += 1
         space, k = self.space, self.space.k
         law = np.asarray(law, dtype=float)
-        if out is None:
-            out = np.empty(space.size)
-        elif out.shape != (space.size,) or out.dtype != float or not out.flags.c_contiguous:
-            raise ValueError("out must be a contiguous float array of the law's size")
+        out = np.empty(space.size)
         rot, a_law, a_rot, out_rot, _ = self.workspace
         layouts = (space.rotate(law, out=rot), law)
         a_layouts = (np.multiply(rot, self.params.a, out=a_rot),

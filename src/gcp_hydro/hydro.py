@@ -158,20 +158,12 @@ def rk4_step(rate, y, h):
 
     c in {0, 1/2, 1} is the stage's fraction of the step, for a rate whose
     coefficients are known at those nodes only.  A negative h marches backward.
-    rate must return a new array, which the step overwrites: the stages are
-    accumulated in place, in the order of y + (h/6) (k1 + 2 k2 + 2 k3 + k4).
     """
-    acc = rate(0.0, y)
-    stage = np.multiply(acc, 0.5 * h)
-    k = rate(0.5, np.add(y, stage, out=stage))
-    np.multiply(k, 0.5 * h, out=stage)
-    acc += np.multiply(k, 2.0, out=k)
-    k = rate(0.5, np.add(y, stage, out=stage))
-    np.multiply(k, h, out=stage)
-    acc += np.multiply(k, 2.0, out=k)
-    acc += rate(1.0, np.add(y, stage, out=stage))
-    acc *= h / 6.0
-    return np.add(y, acc, out=acc)
+    k1 = rate(0.0, y)
+    k2 = rate(0.5, y + 0.5 * h * k1)
+    k3 = rate(0.5, y + 0.5 * h * k2)
+    k4 = rate(1.0, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate(u0: DensityField, params: ModelParams, t_end, h=None) -> Trajectory:
