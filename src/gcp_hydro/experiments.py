@@ -29,7 +29,7 @@ from .entropy import (STATE_CAP, StateSpace, entropy_production_check,
                       profile_law)
 from .fields import TestFunction, carre_du_champ, centered_field, fluctuation, lln_error
 from .gcp import SpinConfig, Simulation, block_lanes, pass_lanes, replica_rng
-from .hydro import ModelParams, convergence_study, integrate, profile_field
+from .hydro import ModelParams, convergence_study, final_density, integrate, profile_field
 from .io_utils import config_hash, write_csv, write_json
 from .lattice import KernelSpec, TorusLattice, discretize
 from .profiles import InitialProfile
@@ -304,15 +304,15 @@ def _concat(parts):
 
 # -- replica batch tasks (top level for pickling) -----------------------------
 
-def _observe(cfg, n, t, lo, hi, pair):
+def _observe(cfg, n, t, lo, hi, u_t, pair):
     """Replicas [lo, hi) of side n observed at time t, one pass of whole blocks at a time.
 
+    ``u_t`` is the density at t that the replicas are centered on.
     ``pair(w, config)`` maps one pass's stacked centered field and
     configurations to a tuple of arrays with a leading replica axis; returns
     those joined over the passes, and the summed simulator counters.
     """
     _, params, u0 = _system(cfg, n)
-    u_t = integrate(u0, params, t, h=cfg.get("h")).final() if t > 0 else u0
     lanes = pass_lanes(params)
     out, counters = None, []
     for start in range(lo, hi, lanes):  # lo lies on a block edge, and so does every pass
@@ -337,10 +337,10 @@ def _snapshot(u0, params, seed, replicas, t):
 
 
 def _lln_batch(args):
-    cfg, n, t, lo, hi = args
+    cfg, n, t, lo, hi, u_t = args
     fns = _functions(cfg)
     state = int(cfg.get("state", cfg["k"]))
-    return _observe(cfg, n, t, lo, hi, lambda w, config: (
+    return _observe(cfg, n, t, lo, hi, u_t, lambda w, config: (
         np.stack([lln_error(w, f, state) ** 2 for f in fns], axis=-1),))
 
 
@@ -351,20 +351,21 @@ def _marginals(cfg):
 
 
 def _fluctuation_batch(args):
-    cfg, n, t, lo, hi = args
+    cfg, n, t, lo, hi, u_t = args
     marginals = _marginals(cfg)
     dump = bool(cfg.get("dump_configs", False))
-    return _observe(cfg, n, t, lo, hi, lambda w, config: (
+    return _observe(cfg, n, t, lo, hi, u_t, lambda w, config: (
         np.stack([lln_error(w, f, i) for f, i in marginals], axis=-1),
         np.stack([fluctuation(w, f, i) for f, i in marginals], axis=-1),
         config.state_counts(), config.sigma if dump else None))
 
 
-def _replica_tasks(cfg, fn, n, t):
-    """fn over the workers' chunks of replicas: joined arrays and summed counters."""
+def _replica_tasks(cfg, fn, n, t, u_t):
+    """fn over the workers' chunks of replicas, centered on the density u_t at
+    t: joined arrays and summed counters."""
     workers = _workers(cfg)
     lanes = block_lanes(n ** cfg["d"])
-    tasks = [(cfg, n, t, lo, hi) for lo, hi in _chunks(cfg["replicas"], workers, lanes)]
+    tasks = [(cfg, n, t, lo, hi, u_t) for lo, hi in _chunks(cfg["replicas"], workers, lanes)]
     results = _pmap(fn, tasks, workers)
     return _concat([r[0] for r in results]), _sum_counters([r[1] for r in results])
 
@@ -385,7 +386,9 @@ def _run_hydro_converge(cfg):
     summary = {"slope": slope,
                "slope_se": table.fit.slope_se if table.fit else None,
                "slope_target": target, "slope_tol": tol}
-    return passed, {"convergence": ("convergence", table.rows())}, summary, {}
+    metrics = {"ode": {"steps": table.steps, "renormalizations": table.renormalizations},
+               "kernel": {"engine": {str(n): e for n, e in sorted(table.engines.items())}}}
+    return passed, {"convergence": ("convergence", table.rows())}, summary, metrics
 
 
 def _run_lln_rate(cfg):
@@ -395,7 +398,7 @@ def _run_lln_rate(cfg):
     rows, slopes, counters = [], {}, []
     per_f_means = {f.name: [] for f in fns}
     for n in cfg["n_list"]:
-        (sq,), totals = _replica_tasks(cfg, _lln_batch, n, t)
+        (sq,), totals = _replica_tasks(cfg, _lln_batch, n, t, _density_at(cfg, n, t))
         counters.append(totals)
         for idx, f in enumerate(fns):
             mean = float(np.mean(sq[:, idx]))
@@ -421,8 +424,8 @@ def _run_fluctuations(cfg):
     n = cfg["n_list"][0]
     t = cfg["times"][-1]
     marginals = _marginals(cfg)
-    predicted = _predicted_cov(cfg, n, t, marginals)
-    (errors, x, counts, sigmas), counters = _replica_tasks(cfg, _fluctuation_batch, n, t)
+    predicted, u_t = _predicted_cov(cfg, n, t, marginals)
+    (errors, x, counts, sigmas), counters = _replica_tasks(cfg, _fluctuation_batch, n, t, u_t)
     replicas = len(x)
     centered = [col - col.mean() for col in x.T]
     cov_rows = []
@@ -459,12 +462,18 @@ def _run_fluctuations(cfg):
 
 
 def _predicted_cov(cfg, n, t, marginals):
-    """The mild covariance of the marginals at t; the system and its trajectory
-    are freed on return, before the replicas run."""
+    """The mild covariance of the marginals at t, and the density at t; the
+    system and its trajectory are freed on return, before the replicas run."""
     _, params, u0 = _system(cfg, n)
     traj = integrate(u0, params, t, h=cfg.get("h"))
     return predicted_cov_mild([terminal_datum(f, i, params.lattice, params.k)
-                               for f, i in marginals], t, traj, params)
+                               for f, i in marginals], t, traj, params), traj.final()
+
+
+def _density_at(cfg, n, t):
+    """The density at t on the lattice of side n, solved without its trajectory."""
+    _, params, u0 = _system(cfg, n)
+    return final_density(u0, params, t, h=cfg.get("h"))[0]
 
 
 def _run_qv_check(cfg):

@@ -8,7 +8,9 @@ normalized kernel convolution of the top-state density:
 with A the recover-to-zero generator and M the raise-one-state stencil.
 Alongside the forward solver this module provides the adjoint (backward)
 flow used to predict fluctuation variances, a fine-lattice reference run,
-and a discretization-convergence study.
+and a discretization-convergence study.  The forward solve is a generator,
+``density_steps``; ``integrate`` collects its states for the callers that
+read every grid time, and ``final_density`` keeps only the last.
 """
 
 from __future__ import annotations
@@ -166,12 +168,15 @@ def rk4_step(rate, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(u0: DensityField, params: ModelParams, t_end, h=None) -> Trajectory:
-    """Classical fixed-step RK4 for the density system on {0, h, ..., t_end}.
+def density_steps(u0: DensityField, params: ModelParams, t_end, h=None):
+    """Classical fixed-step RK4 for the density system on {0, h, ..., t_end},
+    yielding (u, renormalized) per grid time, u0 first.
 
     Per-site mass is monitored each step; deviations beyond the tolerance are
-    renormalized and counted rather than silently absorbed.  Negative
-    components beyond the tolerance abort with a step-size failure.
+    renormalized and flagged rather than silently absorbed.  Negative
+    components beyond the tolerance abort with a step-size failure.  Only
+    the current state is kept, so a caller that reads each grid time as it
+    comes, or only the last, never holds the (T+1, N, k+1) trajectory.
     """
     u0.validate()
     if u0.k != params.k or u0.lattice != params.lattice:
@@ -179,34 +184,60 @@ def integrate(u0: DensityField, params: ModelParams, t_end, h=None) -> Trajector
     if h is None:
         h = params.default_step()
     times, h = _grid(t_end, h)
-    out = np.empty(times.shape + u0.u.shape)
-    out[0] = u0.u
-    renorms = 0
     u = u0.u.copy()
-    for m in range(len(times) - 1):
+    yield u, False
+    for m in range(1, len(times)):
         u = rk4_step(lambda c, v: drift(v, params), u, h)
         if not np.all(np.isfinite(u)):
-            raise ValueError(f"non-finite state at step {m + 1}; reduce h")
+            raise ValueError(f"non-finite state at step {m}; reduce h")
         if np.min(u) < -MASS_TOL:
-            raise ValueError(f"positivity floor violated at step {m + 1} "
+            raise ValueError(f"positivity floor violated at step {m} "
                              f"(min component {np.min(u):.3e}); reduce h")
         sums = u.sum(axis=1)
-        if np.max(np.abs(sums - 1.0)) > MASS_TOL:
+        renormalized = bool(np.max(np.abs(sums - 1.0)) > MASS_TOL)
+        if renormalized:
             u = u / sums[:, None]
-            renorms += 1
-        out[m + 1] = u
+        yield u, renormalized
+
+
+def integrate(u0: DensityField, params: ModelParams, t_end, h=None) -> Trajectory:
+    """Every grid state of ``density_steps``, for callers that read them all."""
+    if h is None:
+        h = params.default_step()
+    times = _grid(t_end, h)[0]
+    out = np.empty(times.shape + u0.u.shape)
+    renorms = 0
+    for m, (u, renormalized) in enumerate(density_steps(u0, params, t_end, h)):
+        out[m] = u
+        renorms += renormalized
     return Trajectory(u0.lattice, u0.k, times, out, renormalizations=renorms)
 
 
-def reference_continuum(profile, spec: KernelSpec, a, k, t_end, n_ref, d=1, h=None) -> Trajectory:
-    """Fine-lattice run standing in for the continuum solution.
+def final_density(u0: DensityField, params: ModelParams, t_end, h=None):
+    """(u_t_end, steps, renormalizations): the last state of ``density_steps``
+    with the solve's counts, holding one grid state at a time."""
+    renorms = 0
+    for steps, (u, renormalized) in enumerate(density_steps(u0, params, t_end, h)):
+        renorms += renormalized
+    return DensityField(u0.lattice, u0.k, u), steps, renorms
+
+
+def _lattice_run(profile, spec: KernelSpec, a, k, t_end, n, d, h):
+    """The profile solved to t_end on the lattice of side n:
+    (kernel engine, u_t_end, steps, renormalizations)."""
+    lattice = TorusLattice(d, n)
+    params = ModelParams(a, k, discretize(spec, lattice))
+    u, steps, renorms = final_density(profile_field(profile, lattice), params, t_end, h=h)
+    return params.kernel.engine, u, steps, renorms
+
+
+def reference_continuum(profile, spec: KernelSpec, a, k, t_end, n_ref, d=1, h=None) -> DensityField:
+    """Fine-lattice density at t_end, standing in for the continuum solution.
 
     n_ref should be at least 4x the largest lattice under study; the study
     lattices must divide n_ref so restriction is plain subsampling.
     """
-    lattice = TorusLattice(d, n_ref)
-    params = ModelParams(a, k, discretize(spec, lattice))
-    return integrate(profile_field(profile, lattice), params, t_end, h=h)
+    return _lattice_run(profile, spec, a, k, t_end, n_ref, d, h)[1]
 
 
 def restrict(fine: DensityField, coarse: TorusLattice) -> DensityField:
@@ -220,11 +251,15 @@ def restrict(fine: DensityField, coarse: TorusLattice) -> DensityField:
 
 @dataclass
 class ConvergenceTable:
-    """Sup-norm errors against the reference run, with a log-log slope fit."""
+    """Sup-norm errors against the reference run, with a log-log slope fit,
+    and what the solves cost."""
 
     sizes: list
     errors: list
     fit: object  # stats.RateFit, or None when errors sit at the noise floor
+    steps: int             # RK4 steps, summed over the reference and study lattices
+    renormalizations: int  # renormalized steps, summed likewise
+    engines: dict          # lattice side -> DiscreteKernel.engine
 
     def rows(self):
         return list(zip(self.sizes, self.errors))
@@ -241,19 +276,17 @@ def convergence_study(n_list, spec: KernelSpec, profile, a, k, t_end,
     for n in n_list:
         if n_ref % n != 0:
             raise ValueError(f"study size n={n} must divide the reference size {n_ref}")
-    ref = reference_continuum(profile, spec, a, k, t_end, n_ref, d=d, h=h).final()
-    errors = []
+    engine, ref, steps, renorms = _lattice_run(profile, spec, a, k, t_end, n_ref, d, h)
+    engines, errors = {n_ref: engine}, []
     for n in n_list:
-        lattice = TorusLattice(d, n)
-        params = ModelParams(a, k, discretize(spec, lattice))
-        final = integrate(profile_field(profile, lattice), params, t_end, h=h).final()
-        diff = final.u - restrict(ref, lattice).u
-        errors.append(float(np.max(np.abs(diff))))
+        engines[n], final, m, r = _lattice_run(profile, spec, a, k, t_end, n, d, h)
+        steps, renorms = steps + m, renorms + r
+        errors.append(float(np.max(np.abs(final.u - restrict(ref, final.lattice).u))))
     fit = None
     if min(errors) > error_floor:
         from .stats import rate_fit
         fit = rate_fit(list(zip(n_list, errors)))
-    return ConvergenceTable(list(n_list), errors, fit)
+    return ConvergenceTable(list(n_list), errors, fit, steps, renorms, engines)
 
 
 def trajectory_header(k) -> tuple:

@@ -4,12 +4,15 @@ Sites of the d-dimensional discrete torus of side n are indexed row-major
 (last coordinate fastest) and embedded into the unit torus at x/n.  A
 catalog kernel is a function of x - y, so it is sampled once on the N
 displacements of the lattice, with an explicitly zero diagonal.  Small
-lattices gather the dense circulant matrix from that sample; large ones
-convolve by FFT.  Tabulated kernels are always dense.  Either way the
-normalized convolutions serve every other module.  The simulator reads the
-kernel through a factorization J[x, y] = sum_j P[x, j] Q[y, j] off the
-diagonal: r = 1 for the constant kernel, r = 3^d for the cosine kernel, and
-r = N (P the identity, Q[y] the column J[:, y]) for every other kernel.
+lattices gather the dense circulant matrix from that sample.  Above
+DENSE_SITE_LIMIT sites a kernel with a closed-form factorization
+J[x, y] = sum_j P[x, j] Q[y, j] convolves through its factors, and any
+other kernel by FFT.  Tabulated kernels are always dense.  Whichever the
+engine (``DiscreteKernel.engine``), the normalized convolutions serve every
+other module.  The simulator reads the kernel through the same
+factorization, valid off the diagonal: r = 1 for the constant kernel,
+r = 3^d for the cosine kernel, and r = N (P the identity, Q[y] the column
+J[:, y]) for every other kernel.
 """
 
 from __future__ import annotations
@@ -21,10 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 # Up to this many sites a kernel is stored as the dense (N, N) matrix and
-# applied by matvec; above it by FFT.  Measured on a 2-vCPU Intel Xeon VM with
-# NumPy 2.4, one `conv` costs 17 us dense against 37-45 us FFT at N=256,
-# 82-92 us against 48-52 us at N=512 (d=1), and 240-290 us against 43-107 us
-# at N=1024; building the N=4096 kernel takes 2.3 s dense against 1.2 ms FFT.
+# applied by matvec; above it through its rank-r factors when the spec has
+# them, else by FFT.  Measured on a 2-vCPU Intel Xeon VM with NumPy 2.4, one
+# `conv` costs 17 us dense against 37-45 us FFT at N=256, 82-92 us against
+# 48-52 us at N=512 (d=1), and 240-290 us against 43-107 us at N=1024;
+# building the N=4096 kernel takes 2.3 s dense against 1.2 ms FFT.  For the
+# cosine kernel in d=2 (r=9) one `conv` costs 42-78 us by FFT against
+# 16-17 us by factors at N=1024, 69-97 against 33-43 us at N=4096 and
+# 128-137 against 81-86 us at N=10^4.  Factors already win at N=256; the
+# limit stays at 512 so that no lattice at or below it changes its arithmetic.
 DENSE_SITE_LIMIT = 512
 
 
@@ -211,12 +219,14 @@ class DiscreteKernel:
     """Kernel sampled on the site pairs of one lattice, with zero diagonal.
 
     A catalog kernel is sampled once as phi(r) = J(r/n, 0) on the N
-    displacements r, with phi(0) = 0.  At N <= DENSE_SITE_LIMIT, and for
-    tabulated kernels, the (N, N) matrix J[x, y] = phi(x - y) is stored and
-    applied by matvec; above the limit the convolutions are FFTs of phi.
-    A spec with ``features`` also stores its (N, r) factors P and Q, sampled
-    at the sites; any other kernel is the rank-N factorization P = identity,
-    Q[y] = J[:, y].  Immutable after construction.
+    displacements r, with phi(0) = 0.  A spec with ``features`` also stores
+    its (N, r) factors P and Q, sampled at the sites; any other kernel is
+    the rank-N factorization P = identity, Q[y] = J[:, y].  ``engine`` names
+    how the convolutions run: ``"dense"`` at N <= DENSE_SITE_LIMIT and for
+    tabulated kernels (the (N, N) matrix J[x, y] = phi(x - y), applied by
+    matvec), ``"factors"`` above the limit for a spec with features (P Q^T
+    less its diagonal), and ``"fft"`` above it for the rest (FFTs of phi).
+    Immutable after construction.
     """
 
     def __init__(self, lattice: TorusLattice, spec: KernelSpec):
@@ -224,8 +234,9 @@ class DiscreteKernel:
         self.spec = spec
         n_sites = lattice.n_sites
         self._axes = tuple(range(lattice.d))
-        self._matrix = self._phi = self._phi_hat = self._p = self._q = None
+        self._matrix = self._phi = self._phi_hat = self._p = self._q = self._diag = None
         self.rank = n_sites
+        self.engine = "dense"
         if spec.table is not None:
             if spec.table.shape != (n_sites, n_sites):
                 raise ValueError("tabulated kernel shape does not match lattice "
@@ -252,8 +263,14 @@ class DiscreteKernel:
         if n_sites <= DENSE_SITE_LIMIT:
             c = lattice.coords(np.arange(n_sites))
             self._matrix = phi.ravel()[lattice.index(c[:, None, :] - c[None, :, :])]
+            return
+        self._phi = phi
+        if self._p is not None:
+            self.engine = "factors"
+            # P Q^T holds J's diagonal too, which the convolution leaves out
+            self._diag = np.einsum("xj,xj->x", self._p, self._q)
         else:
-            self._phi = phi
+            self.engine = "fft"
             self._phi_hat = np.fft.rfftn(phi, axes=self._axes)
 
     @staticmethod
@@ -267,7 +284,7 @@ class DiscreteKernel:
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
             raise ValueError(f"kernel on more than {DENSE_SITE_LIMIT} sites is applied "
-                             "by FFT; no dense matrix stored")
+                             f"by its {self.engine} engine; no dense matrix stored")
         return self._matrix
 
     def col(self, xs) -> np.ndarray:
@@ -307,13 +324,19 @@ class DiscreteKernel:
         n_sites = self.lattice.n_sites
         if g.shape[-1] != n_sites:
             raise ValueError(f"field has {g.shape[-1]} entries, lattice has {n_sites} sites")
-        if self._matrix is not None:
+        if self.engine == "dense":
             m = self._matrix.T if adjoint else self._matrix
             if g.ndim == 1:
                 return m @ g / n_sites
             # a stack by einsum: the work buffers of a BLAS matrix product
             # would cost more resident memory than a block of replicas
             out = np.einsum("xy,my->mx", m, g)
+        elif self.engine == "factors":
+            # sum_{y != x} J[x, y] g_y = (P Q^T g)_x - diag(P Q^T)_x g_x; the
+            # adjoint swaps P and Q, and the diagonal is the same
+            p, q = (self._q, self._p) if adjoint else (self._p, self._q)
+            out = (g @ q) @ p.T
+            out -= self._diag * g
         else:
             # circular convolution with phi; the adjoint correlates with it instead
             phi_hat = np.conj(self._phi_hat) if adjoint else self._phi_hat

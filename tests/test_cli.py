@@ -285,6 +285,23 @@ def test_entropy_exact_reports_engine_and_ode_counts(tmp_path):
     assert ode == {"steps": 10, "renormalizations": 0}
 
 
+@pytest.mark.parametrize("kernel, sides, engines", [
+    ("cosine", [8, 16, 32, 64], ["dense", "dense", "factors", "factors"]),
+    ("gaussian", [4, 8, 12, 24], ["dense", "dense", "dense", "fft"]),
+])
+def test_hydro_converge_reports_engines_and_ode_counts(kernel, sides, engines, tmp_path):
+    # above 512 sites the cosine kernel convolves through its factors and a
+    # gaussian one by FFT; the steps are summed over the reference and the
+    # three study lattices
+    *n_list, n_ref = sides
+    main(["hydro-converge", "--set", "d=2", "--set", f"kernel={{name: {kernel}}}",
+          "--set", f"n_list={n_list}", "--set", f"n_ref={n_ref}",
+          "--set", "times=[0.2]", "--set", "h=0.05", "--out", str(tmp_path / "h")])
+    meta = json.loads((tmp_path / "h" / "run.json").read_text())
+    assert meta["metrics"]["kernel"]["engine"] == {str(n): e for n, e in zip(sides, engines)}
+    assert meta["metrics"]["ode"] == {"steps": 4 * 4, "renormalizations": 0}
+
+
 def test_write_json_encodes_numpy_scalars_and_rejects_the_rest(tmp_path):
     # a NumPy bool used to be written as the string "False", which any JSON
     # reader takes as true

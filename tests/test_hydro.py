@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from gcp_hydro.entropy import LawTrajectory
 from gcp_hydro.hydro import (DensityField, ModelParams,
                              backward_fp, build_A, build_M, colsum_norm,
-                             convergence_study, drift, integrate, profile_field,
-                             reference_continuum, restrict)
+                             convergence_study, density_steps, drift, final_density,
+                             integrate, profile_field, reference_continuum, restrict)
 from gcp_hydro.lattice import DiscreteKernel, KernelSpec, TorusLattice, discretize
 from gcp_hydro.profiles import InitialProfile
 
@@ -310,7 +311,7 @@ def test_reference_self_consistency_second_order_in_two_dimensions():
     # shrinks the gap roughly fourfold
     prof = InitialProfile.cosine_simplex([0.5, 0.5], [0.15, -0.15], [1, 0])
     spec = KernelSpec.cosine(0.5, d=2)
-    runs = {n: reference_continuum(prof, spec, 1.0, 1, 0.5, n, d=2, h=0.01).final()
+    runs = {n: reference_continuum(prof, spec, 1.0, 1, 0.5, n, d=2, h=0.01)
             for n in (8, 16, 32)}
     e_8 = np.max(np.abs(runs[8].u - restrict(runs[16], runs[8].lattice).u))
     e_16 = np.max(np.abs(runs[16].u - restrict(runs[32], runs[16].lattice).u))
@@ -329,6 +330,43 @@ def test_trajectory_csv_export(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0.0" and first[1] == "0"
     assert float(first[2]) == pytest.approx(0.4)
+
+
+def test_density_steps_yield_integrate_rows_bit_for_bit():
+    # a recovery that creates 2e-7 of mass per unit of its flux breaks the
+    # per-site mass beyond MASS_TOL every other step or so, so some steps
+    # renormalize and some do not; N = 576 convolves through the factors
+    prof = InitialProfile.cosine_simplex([0.4, 0.35, 0.25], [0.1, -0.04, -0.06], [1, 0])
+    p = _params(n=24, k=2, kernel=KernelSpec.cosine(0.5, d=2), d=2)
+    p.A[0, p.k] *= 1.0 + 2e-7
+    u0 = profile_field(prof, p.lattice)
+    traj = integrate(u0, p, 0.5, h=0.01)
+    rows = list(density_steps(u0, p, 0.5, h=0.01))
+    assert len(rows) == len(traj.times) == 51
+    flags = [renormalized for _, renormalized in rows]
+    assert not flags[0] and 0 < sum(flags) < 50
+    assert sum(flags) == traj.renormalizations
+    for (u, _), v in zip(rows, traj.u):
+        assert np.array_equal(u, v)
+    final, steps, renorms = final_density(u0, p, 0.5, h=0.01)
+    assert np.array_equal(final.u, traj.u[-1])
+    assert (steps, renorms) == (50, traj.renormalizations)
+
+
+def test_convergence_study_holds_no_trajectory():
+    # every run keeps only its current state; a study that held the N = 4096
+    # reference trajectory (101 states, 9.9 MB) peaked at 11.7 MB
+    prof = InitialProfile.cosine_simplex([0.4, 0.35, 0.25], [0.1, -0.04, -0.06], 1)
+    tracemalloc.start()
+    try:
+        table = convergence_study([8, 16, 32], KernelSpec.cosine(0.5, d=2), prof,
+                                  1.0, 2, 1.0, n_ref=64, d=2, h=0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+    assert table.steps == 4 * 100
+    assert table.engines == {8: "dense", 16: "dense", 32: "factors", 64: "factors"}
 
 
 def test_convergence_study_requires_divisible_sizes():

@@ -118,10 +118,14 @@ def test_kernel_engines_match_explicit_matrix(case):
     assert np.max(np.abs(kern.col(xs) - m[:, xs].T)) <= 1e-12 * peak
     assert abs(kern.norm_1n - m.sum(axis=1).max() / n_sites) <= 1e-12 * peak
     assert abs(kern.norm_inf - peak) <= 1e-12 * peak
+    # dense at or below the limit; above it a kernel with closed-form factors
+    # convolves through them and any other by FFT
     if n_sites <= DENSE_SITE_LIMIT:
+        assert kern.engine == "dense"
         assert np.max(np.abs(kern.matrix - m)) <= 1e-12 * peak
     else:
-        with pytest.raises(ValueError, match="FFT"):
+        assert kern.engine == ("factors" if spec.name in ("cosine", "constant") else "fft")
+        with pytest.raises(ValueError, match="no dense matrix stored"):
             kern.matrix
 
 

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from gcp_hydro import gcp
-from gcp_hydro.experiments import _fluctuation_batch, _lln_batch, _system, load_config, run
+from gcp_hydro.experiments import (_density_at, _fluctuation_batch, _lln_batch, _system,
+                                   load_config, run)
 from gcp_hydro.gcp import block_lanes, pass_lanes
 
 PINNED = {
@@ -46,13 +47,14 @@ def test_pass_width_leaves_results_and_counters_unchanged(batch, overrides, n, m
     cfg = load_config("lln-rate" if batch is _lln_batch else "clt-check", None, overrides)
     t = cfg["times"][-1]
     params = _system(cfg, n)[1]
+    u_t = _density_at(cfg, n, t)
     width = block_lanes(params.lattice.n_sites)
     runs = []
     for blocks in (1, 2, 3):
         lane_bytes = 10 * params.lattice.n_sites + 8 * params.kernel.rank + gcp.LANE_BYTES
         monkeypatch.setattr(gcp, "PASS_BYTES", blocks * width * lane_bytes)
         assert pass_lanes(params) == blocks * width
-        runs.append(batch((cfg, n, t, 0, cfg["replicas"])))
+        runs.append(batch((cfg, n, t, 0, cfg["replicas"], u_t)))
     (first, counters), rest = runs[0], runs[1:]
     assert counters["replicas"] == cfg["replicas"] and counters["toggles"] > 0
     for arrays, other in rest:
