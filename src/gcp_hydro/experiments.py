@@ -28,7 +28,7 @@ from .concentration import (MGF_MIN_REPLICAS, centered_indicator,
 from .entropy import (STATE_CAP, StateSpace, entropy_production_check,
                       profile_law)
 from .fields import TestFunction, carre_du_champ, centered_field, fluctuation, lln_error
-from .gcp import SpinConfig, Simulation, block_lanes, pass_lanes, replica_rng
+from .gcp import SpinConfig, Simulation, block_lanes, replica_rng
 from .hydro import ModelParams, convergence_study, final_density, integrate, profile_field
 from .io_utils import config_hash, write_csv, write_json
 from .lattice import KernelSpec, TorusLattice, discretize
@@ -115,6 +115,11 @@ DEFAULTS = {
 
 MC_EXPERIMENTS = ("lln-rate", "clt-check", "init-cov", "concentration")
 FLUCTUATION_EXPERIMENTS = ("clt-check", "init-cov")
+# step, thresholds and sizes that must be positive where a config has them:
+# (key, whether it must be an integer)
+POSITIVE_KEYS = (("h", False), ("slope_tol", False), ("skew_limit", False),
+                 ("kurt_limit", False), ("tolerance", False), ("matrix_size", True),
+                 ("workers", True))
 
 
 class ConfigError(Exception):
@@ -172,6 +177,15 @@ def load_config(experiment, path=None, overrides=()):
     return cfg
 
 
+def _is_int(x):
+    """An int that is not a bool: bool subclasses int, and YAML reads yes and true as True."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def validate(cfg) -> list:
     """All config violations at once, each naming the offending field."""
     v = []
@@ -182,11 +196,11 @@ def validate(cfg) -> list:
         json.dumps(cfg, sort_keys=True)
     except (TypeError, ValueError) as exc:
         v.append(f"config: run.json cannot hold the config: {exc}")
-    if not isinstance(cfg.get("d"), int) or cfg["d"] < 1:
+    if not _is_int(cfg.get("d")) or cfg["d"] < 1:
         v.append("d: spatial dimension must be a positive integer")
-    if not isinstance(cfg.get("k"), int) or cfg["k"] < 1:
+    if not _is_int(cfg.get("k")) or cfg["k"] < 1:
         v.append("k: threshold state must be an integer >= 1")
-    if not isinstance(cfg.get("a"), (int, float)) or cfg["a"] <= 0:
+    if not _is_number(cfg.get("a")) or not cfg["a"] > 0:
         v.append("a: recovery rate must be > 0")
     spec = None
     try:
@@ -207,7 +221,7 @@ def validate(cfg) -> list:
     times = cfg.get("times", [])
     if not times:
         v.append("times: at least one observation time is required")
-    elif not all(isinstance(t, (int, float)) for t in times):
+    elif not all(_is_number(t) for t in times):
         v.append("times: observation times must be numbers")
     elif any(t < 0 for t in times):
         v.append("times: observation times must be nonnegative")
@@ -216,16 +230,16 @@ def validate(cfg) -> list:
     elif name not in ("qv-check", "concentration") and len(times) > 1:
         v.append(f"times: {name} observes one time, the config lists {len(times)}")
     n_list = cfg.get("n_list", [])
-    if not n_list or any((not isinstance(n, int)) or n < 2 for n in n_list):
+    if not n_list or any(not _is_int(n) or n < 2 for n in n_list):
         v.append("n_list: lattice sides must be integers >= 2")
     elif name in ("qv-check", "entropy-exact") + FLUCTUATION_EXPERIMENTS and len(n_list) > 1:
         v.append(f"n_list: {name} runs one lattice size, the config lists {len(n_list)}")
     k, state = cfg.get("k"), cfg.get("state")
-    if "state" in cfg and name in ("lln-rate",) + FLUCTUATION_EXPERIMENTS and isinstance(k, int):
+    if "state" in cfg and name in ("lln-rate",) + FLUCTUATION_EXPERIMENTS and _is_int(k):
         if type(state) is not int or not 0 <= state <= k:
             v.append(f"state: {name} takes one state in [0, {k}], got {state!r}")
     replicas = cfg.get("replicas", 0)
-    if name in MC_EXPERIMENTS and (not isinstance(replicas, int) or replicas < 1):
+    if name in MC_EXPERIMENTS and (not _is_int(replicas) or replicas < 1):
         v.append("replicas: Monte Carlo experiments need replicas >= 1")
     elif name in FLUCTUATION_EXPERIMENTS and replicas < NORMALITY_MIN_SAMPLES:
         v.append(f"replicas: {name} needs replicas >= {NORMALITY_MIN_SAMPLES} "
@@ -235,21 +249,25 @@ def validate(cfg) -> list:
                  "for its exponential-moment estimates")
     if name == "lln-rate" and len(n_list) < RATE_FIT_MIN_POINTS:
         v.append(f"n_list: rate fit needs at least {RATE_FIT_MIN_POINTS} sizes")
-    if not isinstance(cfg.get("seed"), int) or cfg["seed"] < 0:
+    if not _is_int(cfg.get("seed")) or cfg["seed"] < 0:
         v.append("seed: master seed must be a nonnegative integer")
-    if cfg.get("h") is not None and cfg["h"] <= 0:
-        v.append("h: integrator step must be > 0")
+    for key, integral in POSITIVE_KEYS:
+        if key in cfg and not ((_is_int if integral else _is_number)(cfg[key]) and cfg[key] > 0):
+            v.append(f"{key}: must be a positive {'integer' if integral else 'number'}, "
+                     f"got {cfg[key]!r}")
+    if "slope_target" in cfg and not _is_number(cfg["slope_target"]):
+        v.append(f"slope_target: must be a number, got {cfg['slope_target']!r}")
     if name == "hydro-converge":
         if len(n_list) < 3:
             v.append("n_list: convergence study needs at least 3 sizes")
         n_ref = cfg.get("n_ref", 0)
-        if n_list and (not isinstance(n_ref, int) or any(n_ref % n for n in n_list)):
+        if n_list and (not _is_int(n_ref) or any(n_ref % n for n in n_list)):
             v.append("n_ref: every study size must divide the reference size")
     # a table fits one lattice only; concentration builds none
     if (spec is not None and spec.table is not None and name != "concentration"
-            and isinstance(cfg.get("d"), int)):
+            and _is_int(cfg.get("d"))):
         sides = list(n_list) + ([cfg.get("n_ref")] if name == "hydro-converge" else [])
-        sizes = sorted({n ** cfg["d"] for n in sides if isinstance(n, int)})
+        sizes = sorted({n ** cfg["d"] for n in sides if _is_int(n)})
         if sizes and sizes != [spec.params["n_sites"]]:
             v.append(f"kernel: tabulated kernel has {spec.params['n_sites']} sites, "
                      f"the lattices have {sizes}")
@@ -286,13 +304,6 @@ def _pmap(fn, args_list, workers):
         return list(pool.map(fn, args_list))
 
 
-def _chunks(n_replicas, workers, lanes):
-    """Replica ranges [lo, hi), one per worker, cut at block edges."""
-    blocks = -(-n_replicas // lanes)
-    per = -(-blocks // max(workers, 1)) * lanes
-    return [(lo, min(lo + per, n_replicas)) for lo in range(0, n_replicas, per)]
-
-
 def _sum_counters(counters):
     return {key: sum(c[key] for c in counters) for key in counters[0]}
 
@@ -305,35 +316,17 @@ def _concat(parts):
 # -- replica batch tasks (top level for pickling) -----------------------------
 
 def _observe(cfg, n, t, lo, hi, u_t, pair):
-    """Replicas [lo, hi) of side n observed at time t, one pass of whole blocks at a time.
+    """Replicas [lo, hi) of side n, one block, stepped as one Simulation to time t.
 
     ``u_t`` is the density at t that the replicas are centered on.
-    ``pair(w, config)`` maps one pass's stacked centered field and
+    ``pair(w, config)`` maps the block's stacked centered field and
     configurations to a tuple of arrays with a leading replica axis; returns
-    those joined over the passes, and the summed simulator counters.
+    that tuple and the block's simulator counters.
     """
     _, params, u0 = _system(cfg, n)
-    lanes = pass_lanes(params)
-    out, counters = None, []
-    for start in range(lo, hi, lanes):  # lo lies on a block edge, and so does every pass
-        stop = min(start + lanes, hi)
-        config, totals = _snapshot(u0, params, cfg["seed"], range(start, stop), t)
-        parts = pair(centered_field(config, u_t), config)
-        del config  # before the next pass allocates its lanes
-        if out is None:  # filled in place: no pass leaves an allocation behind
-            out = tuple(None if p is None else np.empty((hi - lo,) + p.shape[1:], p.dtype)
-                        for p in parts)
-        for o, p in zip(out, parts):
-            if o is not None:
-                o[start - lo:stop - lo] = p
-        counters.append(totals)
-    return out, _sum_counters(counters)
-
-
-def _snapshot(u0, params, seed, replicas, t):
-    """One pass's configurations at t and its counters; the pass's state is freed on return."""
-    sim = Simulation(u0, params, seed, replicas)
-    return sim.simulate_until([t])[0].config, sim.counters()
+    sim = Simulation(u0, params, cfg["seed"], range(lo, hi))
+    config = sim.simulate_until([t])[0].config
+    return pair(centered_field(config, u_t), config), sim.counters()
 
 
 def _lln_batch(args):
@@ -361,12 +354,12 @@ def _fluctuation_batch(args):
 
 
 def _replica_tasks(cfg, fn, n, t, u_t):
-    """fn over the workers' chunks of replicas, centered on the density u_t at
-    t: joined arrays and summed counters."""
-    workers = _workers(cfg)
-    lanes = block_lanes(n ** cfg["d"])
-    tasks = [(cfg, n, t, lo, hi, u_t) for lo, hi in _chunks(cfg["replicas"], workers, lanes)]
-    results = _pmap(fn, tasks, workers)
+    """fn over the blocks of replicas, one task each, centered on the density
+    u_t at t: joined arrays and summed counters."""
+    replicas, lanes = cfg["replicas"], block_lanes(n ** cfg["d"])
+    tasks = [(cfg, n, t, lo, min(lo + lanes, replicas), u_t)
+             for lo in range(0, replicas, lanes)]
+    results = _pmap(fn, tasks, _workers(cfg))
     return _concat([r[0] for r in results]), _sum_counters([r[1] for r in results])
 
 

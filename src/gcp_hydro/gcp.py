@@ -23,9 +23,11 @@ untouched.  With no active site a lane's proposal rate is exactly zero, so
 the absorbing state absorbs.
 
 Randomness is counter-based (Philox; Salmon et al., SC'11).  Replica r is
-lane r % B of block r // B, where B = block_lanes(N) depends on the lattice
-size only.  Block b is keyed by the Philox key of replica_rng(seed, n, b).
-Round 0 of that key draws the block's initial configurations as a (B, N)
+lane r % B of block r // B, where B = block_lanes(N), as many lanes as
+BLOCK_BYTES of lane state holds, depends on the lattice size only.  The
+replica driver steps each block as one Simulation, so every vectorized step
+draws one round.  Block b is keyed by the Philox key of replica_rng(seed, n,
+b).  Round 0 of that key draws the block's initial configurations as a (B, N)
 matrix; round j >= 1 is the (3, B) matrix at counter (0, 0, j, 0), and a
 lane's j-th proposal reads its own column of it: holding time, site,
 acceptance.  Rounds are always drawn at full width and each lane keeps its
@@ -44,29 +46,19 @@ from .hydro import DensityField, ModelParams
 from .lattice import TorusLattice
 
 REBUILD_PERIOD = 1 << 20  # per-lane refresh cadence bounding float drift in the kernel sums
-BLOCK_SITES = 1 << 14     # lanes x sites of one block
-# Bytes of lane state one pass of whole blocks may hold.  A lane costs an
-# int16 state and two int32 partition slots per site, its float kernel sums,
-# and LANE_BYTES for its clocks, counters and the vectors of one step.
-# Measured on a 2-vCPU Intel Xeon VM with NumPy 2.4: clt-check at n = 256
-# (64 lanes a block) takes ~0.8 s at one block per pass and ~0.35 s at the
-# five this allows, and its peak RSS grows ~1% (from ~42.1 MB); at n = 16 a
-# pass holds two blocks, and peak RSS stays flat.
-PASS_BYTES = 1 << 20
+# Bytes of lane state one block may hold.  A lane costs an int16 state and two
+# int32 partition slots per site, and LANE_BYTES for its clocks, counters,
+# low-rank kernel sums and the vectors of one step; the N-term sums of a
+# gaussian or tabulated kernel are left out, so the width depends on N alone.
+BLOCK_BYTES = 1 << 20
 LANE_BYTES = 256
 
 
 def block_lanes(n_sites) -> int:
-    """Lanes per block of replicas; a function of the lattice size alone."""
-    return min(4096, max(1, BLOCK_SITES // n_sites))
-
-
-def pass_lanes(params) -> int:
-    """Lanes stepped together in one pass: as many whole blocks as PASS_BYTES holds, at least one."""
-    n_sites = params.lattice.n_sites
-    width = block_lanes(n_sites)
-    lane_bytes = 10 * n_sites + 8 * params.kernel.rank + LANE_BYTES
-    return width * max(1, PASS_BYTES // (width * lane_bytes))
+    """Lanes per block of replicas: as many as BLOCK_BYTES of lane state
+    holds, at least one.  A function of the lattice size alone, it fixes the
+    streams, and a block is the unit the replica driver steps as one task."""
+    return max(1, BLOCK_BYTES // (10 * n_sites + LANE_BYTES))
 
 
 def replica_rng(master_seed, *key) -> np.random.Generator:

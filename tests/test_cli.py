@@ -120,14 +120,14 @@ def test_run_determinism_bit_identical(tmp_path):
 
 
 def test_run_worker_count_invariance(tmp_path, monkeypatch):
-    # replicas span at least 3 blocks of lanes at every size (block_lanes
-    # gives 128, 64 and 32 lanes at n = 128, 256, 512), so two workers
-    # really split the blocks between them
-    runs = {"lln-rate": (["replicas=300", "n_list=[128, 256, 512]", "times=[0.1]",
+    # replicas span at least 3 blocks of lanes at every size, the last one
+    # partial (block_lanes gives 682, 372 and 195 lanes at n = 128, 256,
+    # 512), so two workers really split the blocks between them
+    runs = {"lln-rate": (["replicas=1400", "n_list=[128, 256, 512]", "times=[0.1]",
                           "h=0.02"], "lln.csv"),
-            "clt-check": (["replicas=500", "n_list=[128]", "times=[0.1]", "h=0.02"],
+            "clt-check": (["replicas=1400", "n_list=[128]", "times=[0.1]", "h=0.02"],
                           "clt.csv"),
-            "init-cov": (["replicas=500", "n_list=[128]", "times=[0.1]", "h=0.02"],
+            "init-cov": (["replicas=1400", "n_list=[128]", "times=[0.1]", "h=0.02"],
                          "cov.csv")}
     for experiment, (overrides, csv_name) in runs.items():
         payloads, counters = [], []
@@ -165,6 +165,20 @@ def test_cli_main_exit_codes(tmp_path):
     ("clt-check", "state=5", "state"),             # k = 1: states are 0 and 1
     ("lln-rate", "state=-1", "state"),             # u[:, -1] would read state k
     ("clt-check", "note=2026-10-18", "config"),    # a date run.json cannot echo
+    # YAML reads yes and true as booleans, and bool subclasses int
+    ("clt-check", "seed=yes", "seed"),
+    ("lln-rate", "replicas=true", "replicas"),
+    ("clt-check", "d=true", "d"),
+    ("clt-check", "times=[true]", "times"),
+    # numeric keys that used to reach the run unchecked
+    ("clt-check", "h=abc", "h"),
+    ("clt-check", "workers=abc", "workers"),
+    ("clt-check", "skew_limit=abc", "skew_limit"),
+    ("init-cov", "kurt_limit=-1", "kurt_limit"),
+    ("qv-check", "tolerance=abc", "tolerance"),
+    ("concentration", "matrix_size=-3", "matrix_size"),
+    ("hydro-converge", "slope_tol=abc", "slope_tol"),  # failed after the whole study
+    ("lln-rate", "slope_target=abc", "slope_target"),
 ])
 def test_unrunnable_sizes_are_config_errors(tmp_path, capsys, experiment, override, field):
     # each used to fail inside the run (traceback or nan rows) with exit 1,

@@ -1,5 +1,5 @@
 """The random streams, pinned: sha256 digests of two small runs' CSVs, and
-replica results independent of how many blocks of lanes a pass steps.
+one Philox round drawn per vectorized step of the replica driver.
 
 A replica's path is a pure function of (seed, n, replica), so a refactor of
 the simulator or of the replica driver must leave these bytes alone.  A
@@ -9,21 +9,18 @@ Each run spans several blocks of lanes at some size, the last one partial.
 
 import hashlib
 
-import numpy as np
 import pytest
 
-from gcp_hydro import gcp
-from gcp_hydro.experiments import (_density_at, _fluctuation_batch, _lln_batch, _system,
-                                   load_config, run)
-from gcp_hydro.gcp import block_lanes, pass_lanes
+from gcp_hydro.experiments import _density_at, _fluctuation_batch, _replica_tasks, load_config, run
+from gcp_hydro.gcp import Simulation, block_lanes
 
 PINNED = {
-    # n = 64 runs 256 lanes per block: 500 replicas are one full and one partial block
-    "clt-check": (["replicas=500", "n_list=[64]", "seed=1"], "clt.csv",
-                  "645480969ebf8c8b393744ccee080eb2a42b6a6f1765e840b4498db595b1beb0"),
-    # 1, 2 and 4 blocks at n = 32, 64 and 128
-    "lln-rate": (["replicas=500", "n_list=[32, 64, 128]", "times=[0.5]", "seed=1"],
-                 "lln.csv", "fe34e13367bc532d3554c8bd3f04ad12fc62f744a0a5933f248ee4c9bc5d3698"),
+    # n = 256 runs 372 lanes per block: 500 replicas are one full and one partial block
+    "clt-check": (["replicas=500", "n_list=[256]", "seed=1"], "clt.csv",
+                  "9efd9db874922d524a68ccaa3fe28be8d52a6804ec0d22935e6e4081e8edd13e"),
+    # 1, 2 and 3 blocks at n = 128, 256 and 512 (682, 372 and 195 lanes)
+    "lln-rate": (["replicas=500", "n_list=[128, 256, 512]", "times=[0.5]", "seed=1"],
+                 "lln.csv", "68305dfb0e5998c560916966823e7820b6ddf277da00d47641fa32e182230826"),
 }
 
 
@@ -34,30 +31,25 @@ def test_stream_digest_pinned(experiment, tmp_path):
     assert hashlib.sha256((tmp_path / csv_name).read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("batch, overrides, n", [
-    # 512 lanes a block at n = 32: two full blocks and a partial one
-    (_fluctuation_batch, ["replicas=1300", "n_list=[32]", "seed=3"], 32),
-    # 1024 lanes a block at n = 16
-    (_lln_batch, ["replicas=2600", "n_list=[8, 16, 32]", "times=[0.5]", "seed=3"], 16),
-], ids=["fluctuation", "lln"])
-def test_pass_width_leaves_results_and_counters_unchanged(batch, overrides, n, monkeypatch):
-    # a pass steps whole blocks together; one block a pass, two (so the last
-    # pass is one partial block) and all three (ending in a partial block)
-    # must give the same arrays and simulator counters
-    cfg = load_config("lln-rate" if batch is _lln_batch else "clt-check", None, overrides)
-    t = cfg["times"][-1]
-    params = _system(cfg, n)[1]
-    u_t = _density_at(cfg, n, t)
-    width = block_lanes(params.lattice.n_sites)
-    runs = []
-    for blocks in (1, 2, 3):
-        lane_bytes = 10 * params.lattice.n_sites + 8 * params.kernel.rank + gcp.LANE_BYTES
-        monkeypatch.setattr(gcp, "PASS_BYTES", blocks * width * lane_bytes)
-        assert pass_lanes(params) == blocks * width
-        runs.append(batch((cfg, n, t, 0, cfg["replicas"], u_t)))
-    (first, counters), rest = runs[0], runs[1:]
-    assert counters["replicas"] == cfg["replicas"] and counters["toggles"] > 0
-    for arrays, other in rest:
-        assert other == counters
-        for a, b in zip(first, arrays):
-            assert (a is None and b is None) or np.array_equal(a, b)
+def test_one_philox_round_per_vectorized_step(monkeypatch):
+    # each block runs as its own Simulation, so every step of the driver
+    # draws exactly one round of its block, never one per block stepped
+    cfg = load_config("clt-check", None, ["replicas=1000", "n_list=[256]", "times=[0.1]"])
+    n, t = 256, 0.1
+    assert cfg["replicas"] > 2 * block_lanes(n)  # three blocks, the last partial
+    monkeypatch.delenv("GCP_HYDRO_WORKERS", raising=False)
+    calls = {"_draws": 0, "_round_columns": 0}
+
+    def counted(name):
+        method = getattr(Simulation, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(Simulation, name, counted(name))
+    _, counters = _replica_tasks(cfg, _fluctuation_batch, n, t, _density_at(cfg, n, t))
+    assert counters["replicas"] == cfg["replicas"] and counters["events"] > 0
+    assert calls["_draws"] > 0
+    assert calls["_round_columns"] == calls["_draws"]
