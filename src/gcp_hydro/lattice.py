@@ -3,16 +3,15 @@
 Sites of the d-dimensional discrete torus of side n are indexed row-major
 (last coordinate fastest) and embedded into the unit torus at x/n.  A
 catalog kernel is a function of x - y, so it is sampled once on the N
-displacements of the lattice, with an explicitly zero diagonal.  Small
-lattices gather the dense circulant matrix from that sample.  Above
-DENSE_SITE_LIMIT sites a kernel with a closed-form factorization
-J[x, y] = sum_j P[x, j] Q[y, j] convolves through its factors, and any
-other kernel by FFT.  Tabulated kernels are always dense.  Whichever the
-engine (``DiscreteKernel.engine``), the normalized convolutions serve every
-other module.  The simulator reads the kernel through the same
-factorization, valid off the diagonal: r = 1 for the constant kernel,
-r = 3^d for the cosine kernel, and r = N (P the identity, Q[y] the column
-J[:, y]) for every other kernel.
+displacements of the lattice, with an explicitly zero diagonal; its columns
+and its dense matrix are windows of that one sample.  The kernel alone picks
+the convolution engine (``DiscreteKernel.engine``): a kernel with a
+closed-form factorization J[x, y] = sum_j P[x, j] Q[y, j] convolves through
+its factors, any other catalog kernel by FFT, and a tabulated kernel by its
+dense table.  The normalized convolutions serve every other module.  The
+simulator reads the kernel through the same factorization, valid off the
+diagonal: r = 1 for the constant kernel, r = 3^d for the cosine kernel, and
+r = N (P the identity, Q[y] the column J[:, y]) for every other kernel.
 """
 
 from __future__ import annotations
@@ -22,18 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Up to this many sites a kernel is stored as the dense (N, N) matrix and
-# applied by matvec; above it through its rank-r factors when the spec has
-# them, else by FFT.  Measured on a 2-vCPU Intel Xeon VM with NumPy 2.4, one
-# `conv` costs 17 us dense against 37-45 us FFT at N=256, 82-92 us against
-# 48-52 us at N=512 (d=1), and 240-290 us against 43-107 us at N=1024;
-# building the N=4096 kernel takes 2.3 s dense against 1.2 ms FFT.  For the
-# cosine kernel in d=2 (r=9) one `conv` costs 42-78 us by FFT against
-# 16-17 us by factors at N=1024, 69-97 against 33-43 us at N=4096 and
-# 128-137 against 81-86 us at N=10^4.  Factors already win at N=256; the
-# limit stays at 512 so that no lattice at or below it changes its arithmetic.
-DENSE_SITE_LIMIT = 512
+from numpy.lib.stride_tricks import as_strided
 
 
 @dataclass(frozen=True)
@@ -219,14 +207,16 @@ class DiscreteKernel:
     """Kernel sampled on the site pairs of one lattice, with zero diagonal.
 
     A catalog kernel is sampled once as phi(r) = J(r/n, 0) on the N
-    displacements r, with phi(0) = 0.  A spec with ``features`` also stores
-    its (N, r) factors P and Q, sampled at the sites; any other kernel is
-    the rank-N factorization P = identity, Q[y] = J[:, y].  ``engine`` names
-    how the convolutions run: ``"dense"`` at N <= DENSE_SITE_LIMIT and for
-    tabulated kernels (the (N, N) matrix J[x, y] = phi(x - y), applied by
-    matvec), ``"factors"`` above the limit for a spec with features (P Q^T
-    less its diagonal), and ``"fft"`` above it for the rest (FFTs of phi).
-    Immutable after construction.
+    displacements r, with phi(0) = 0, and stored doubled along every axis:
+    the column J[:, x] = phi(. - x) is the window of that array starting at
+    n - x, which ``col`` and ``matrix`` both gather.  A spec with
+    ``features`` also stores its (N, r) factors P and Q, sampled at the
+    sites; any other kernel is the rank-N factorization P = identity,
+    Q[y] = J[:, y].  ``engine`` names how the convolutions run, by the kind
+    of kernel alone: ``"factors"`` for a spec with features (P Q^T less its
+    diagonal), ``"fft"`` for any other catalog kernel (FFTs of phi), and
+    ``"dense"`` for a tabulated kernel (its (N, N) table, applied by
+    matvec).  Immutable after construction.
     """
 
     def __init__(self, lattice: TorusLattice, spec: KernelSpec):
@@ -234,9 +224,8 @@ class DiscreteKernel:
         self.spec = spec
         n_sites = lattice.n_sites
         self._axes = tuple(range(lattice.d))
-        self._matrix = self._phi = self._phi_hat = self._p = self._q = self._diag = None
+        self._table = self._phi2 = self._phi_hat = self._p = self._q = self._diag = None
         self.rank = n_sites
-        self.engine = "dense"
         if spec.table is not None:
             if spec.table.shape != (n_sites, n_sites):
                 raise ValueError("tabulated kernel shape does not match lattice "
@@ -244,7 +233,8 @@ class DiscreteKernel:
             m = spec.table.copy()
             np.fill_diagonal(m, 0.0)
             self._check_entries(m)
-            self._matrix = m
+            self._table = m
+            self.engine = "dense"
             self.norm_1n = float(np.max(m.sum(axis=1))) / n_sites
             self.norm_inf = float(np.max(m))
             return
@@ -256,17 +246,12 @@ class DiscreteKernel:
         # exact over sites
         self.norm_1n = float(phi.sum()) / n_sites
         self.norm_inf = float(phi.max())
+        self._phi2 = np.tile(phi, (2,) * lattice.d)
         if spec.features is not None:
+            self.engine = "factors"
             self._p, self._q = (np.ascontiguousarray(f, dtype=float)
                                 for f in spec.features(lattice.positions()))
             self.rank = self._q.shape[1]
-        if n_sites <= DENSE_SITE_LIMIT:
-            c = lattice.coords(np.arange(n_sites))
-            self._matrix = phi.ravel()[lattice.index(c[:, None, :] - c[None, :, :])]
-            return
-        self._phi = phi
-        if self._p is not None:
-            self.engine = "factors"
             # P Q^T holds J's diagonal too, which the convolution leaves out
             self._diag = np.einsum("xj,xj->x", self._p, self._q)
         else:
@@ -282,24 +267,23 @@ class DiscreteKernel:
 
     @property
     def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            raise ValueError(f"kernel on more than {DENSE_SITE_LIMIT} sites is applied "
-                             f"by its {self.engine} engine; no dense matrix stored")
-        return self._matrix
+        """The (N, N) matrix J[x, y]: a tabulated kernel's table, else gathered
+        from phi as a new C-contiguous array on each call."""
+        if self._table is not None:
+            return self._table
+        return np.ascontiguousarray(self.col(np.arange(self.lattice.n_sites)).T)
 
     def col(self, xs) -> np.ndarray:
         """Columns J[:, x] = phi(. - x) for an index array xs, as (len(xs), N) rows."""
         xs = np.asarray(xs)
-        if self._matrix is not None:
-            return self._matrix[:, xs].T
-        # gather phi at the wrapped coordinate differences y - x
-        n = self.lattice.n
-        flat = np.zeros((len(xs), self.lattice.n_sites), np.intp)
-        for cy, cx in zip(self.lattice.coords(np.arange(self.lattice.n_sites)).T,
-                          self.lattice.coords(xs).T):
-            flat *= n
-            flat += (cy[None, :] - cx[:, None]) % n
-        return self._phi.ravel()[flat]
+        if self._table is not None:
+            return self._table[:, xs].T
+        # every window of side n of the doubled phi, (n + 1)^d of them; the
+        # view allocates nothing, and the one at n - x is phi(. - x)
+        n, d = self.lattice.n, self.lattice.d
+        windows = as_strided(self._phi2, (n + 1,) * d + (n,) * d, self._phi2.strides * 2,
+                             writeable=False)
+        return windows[tuple((n - self.lattice.coords(xs)).T)].reshape(len(xs), -1)
 
     def features_at(self, xs) -> np.ndarray:
         """Rows Q[xs], (len(xs), rank): what activating site x adds to a lane's sums, times N."""
@@ -325,7 +309,7 @@ class DiscreteKernel:
         if g.shape[-1] != n_sites:
             raise ValueError(f"field has {g.shape[-1]} entries, lattice has {n_sites} sites")
         if self.engine == "dense":
-            m = self._matrix.T if adjoint else self._matrix
+            m = self._table.T if adjoint else self._table
             if g.ndim == 1:
                 return m @ g / n_sites
             # a stack by einsum: the work buffers of a BLAS matrix product

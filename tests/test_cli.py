@@ -300,11 +300,11 @@ def test_entropy_exact_reports_engine_and_ode_counts(tmp_path):
 
 
 @pytest.mark.parametrize("kernel, sides, engines", [
-    ("cosine", [8, 16, 32, 64], ["dense", "dense", "factors", "factors"]),
-    ("gaussian", [4, 8, 12, 24], ["dense", "dense", "dense", "fft"]),
+    ("cosine", [8, 16, 32, 64], ["factors"] * 4),
+    ("gaussian", [4, 8, 12, 24], ["fft"] * 4),
 ])
 def test_hydro_converge_reports_engines_and_ode_counts(kernel, sides, engines, tmp_path):
-    # above 512 sites the cosine kernel convolves through its factors and a
+    # at every side the cosine kernel convolves through its factors and a
     # gaussian one by FFT; the steps are summed over the reference and the
     # three study lattices
     *n_list, n_ref = sides

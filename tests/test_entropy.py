@@ -270,11 +270,11 @@ ENTROPY_PINNED = {
     "k1": (["k=1", "n_list=[10]", "times=[0.3]", "h=0.01", _COSINE,
             'profile={"name": "cosine-simplex", "base": [0.5, 0.5], '
             '"delta": [0.2, -0.2], "mode": 1}'],
-           "73019d951bb6dcc3930071522b0f62906cbf876ee4b72e9aa92f54a5b48765d9"),
+           "939c5cbaa175f566a618ffdc339d0cedaf49f0918f98e4c4b08becbcd97c2b7e"),
     "k2": (["k=2", "n_list=[6]", "times=[0.3]", "h=0.01", _COSINE,
             'profile={"name": "cosine-simplex", "base": [0.3, 0.3, 0.4], '
             '"delta": [0.1, 0.0, -0.1], "mode": 1}'],
-           "c385d8a1bae3f527be2cb5a31f828edadac59a8e77ed58c504c7037149bd3493"),
+           "5658b0a0c0444cc90eae2140d170b6aa6547b5ede55b93f19bdcc6eb2ebf5fa1"),
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gcp_hydro.gcp import (Simulation, SpinConfig, block_lanes, rates_from_scratch,
                            replica_rng, sample_initial)
 from gcp_hydro.hydro import DensityField, ModelParams
-from gcp_hydro.lattice import DENSE_SITE_LIMIT, KernelSpec, TorusLattice, discretize
+from gcp_hydro.lattice import KernelSpec, TorusLattice, discretize
 
 
 def _params(n=8, k=1, a=1.0, kernel=None, d=1):
@@ -310,15 +310,15 @@ def test_fast_path_integrity_and_determinism():
 
 
 def test_fft_kernel_column_updates_match_rates_from_scratch():
-    # above DENSE_SITE_LIMIT each toggle adds or subtracts phi gathered at
-    # wrapped coordinate differences while rates_from_scratch convolves by
-    # FFT; a non-symmetric kernel in d=2 makes a wrong sign or axis show
+    # each toggle adds or subtracts a window of the doubled phi while
+    # rates_from_scratch convolves by FFT; a non-symmetric kernel in d=2
+    # makes a wrong sign or axis of the window show
     def skew(x, y):
         r = x - y - np.round(x - y)
         return np.prod(1.0 + 0.5 * np.cos(2 * np.pi * r) + 0.3 * np.sin(2 * np.pi * r),
                        axis=-1)
     p = _params(n=24, k=1, a=0.5, kernel=KernelSpec("skew", {}, skew, 1.8 ** 2, 1.0), d=2)
-    assert p.lattice.n_sites > DENSE_SITE_LIMIT
+    assert p.kernel.engine == "fft"
     sim = Simulation(_uniform_field(p, [0.5, 0.5]), p, seed=43, replicas=4)
     for _ in range(2000):
         sites, _ = sim.step()
@@ -326,8 +326,8 @@ def test_fft_kernel_column_updates_match_rates_from_scratch():
     sim.check_integrity(rtol=1e-10)
 
 
-# sides on both sides of DENSE_SITE_LIMIT, so both convolution engines serve
-_SIDES = {1: st.one_of(st.integers(4, 40), st.integers(DENSE_SITE_LIMIT + 1, 700)),
+# lattices of at most 40 sites and of more than 512, so large-N gathers serve too
+_SIDES = {1: st.one_of(st.integers(4, 40), st.integers(513, 700)),
           2: st.sampled_from([6, 24])}
 
 

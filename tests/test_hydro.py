@@ -366,7 +366,7 @@ def test_convergence_study_holds_no_trajectory():
         tracemalloc.stop()
     assert peak < 4e6, peak
     assert table.steps == 4 * 100
-    assert table.engines == {8: "dense", 16: "dense", 32: "factors", 64: "factors"}
+    assert table.engines == {8: "factors", 16: "factors", 32: "factors", 64: "factors"}
 
 
 def test_convergence_study_requires_divisible_sizes():

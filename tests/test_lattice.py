@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcp_hydro.lattice import DENSE_SITE_LIMIT, KernelSpec, TorusLattice, discretize
+from gcp_hydro.lattice import KernelSpec, TorusLattice, discretize
 
 
 def test_zero_kernel_all_entries_zero():
@@ -71,7 +71,8 @@ def _asymmetric_kernel():
     return KernelSpec("skew", {}, ev, 1.8, 1.0)
 
 
-# sides on both sides of DENSE_SITE_LIMIT, so both engines are drawn
+# lattices of at most 64 sites and of more than 512, so the window gather
+# of columns and matrix is checked at large N too
 _SIDES = {1: st.one_of(st.integers(5, 40), st.integers(513, 900)),
           2: st.sampled_from([6, 24]),
           3: st.sampled_from([4, 9])}
@@ -118,15 +119,10 @@ def test_kernel_engines_match_explicit_matrix(case):
     assert np.max(np.abs(kern.col(xs) - m[:, xs].T)) <= 1e-12 * peak
     assert abs(kern.norm_1n - m.sum(axis=1).max() / n_sites) <= 1e-12 * peak
     assert abs(kern.norm_inf - peak) <= 1e-12 * peak
-    # dense at or below the limit; above it a kernel with closed-form factors
-    # convolves through them and any other by FFT
-    if n_sites <= DENSE_SITE_LIMIT:
-        assert kern.engine == "dense"
-        assert np.max(np.abs(kern.matrix - m)) <= 1e-12 * peak
-    else:
-        assert kern.engine == ("factors" if spec.name in ("cosine", "constant") else "fft")
-        with pytest.raises(ValueError, match="no dense matrix stored"):
-            kern.matrix
+    matrix = kern.matrix
+    assert matrix.flags.c_contiguous and np.max(np.abs(matrix - m)) <= 1e-12 * peak
+    # the kind of kernel alone picks the engine, at every size
+    assert kern.engine == ("factors" if spec.name in ("cosine", "constant") else "fft")
 
 
 def test_adjoint_identity_weighted_inner_product():

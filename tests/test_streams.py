@@ -20,11 +20,11 @@ from gcp_hydro.gcp import Simulation, block_lanes
 PINNED = {
     # n = 256 runs 372 lanes per block: 500 replicas are one full and one partial block
     "clt-check": (["replicas=500", "n_list=[256]", "seed=1"], {
-        "clt.csv": "9efd9db874922d524a68ccaa3fe28be8d52a6804ec0d22935e6e4081e8edd13e",
+        "clt.csv": "f7047f5fe1bdd3e2be1e7fddd3dea734d2b489193b20c6d54ea5796cd8cbe10c",
         "clt_counts.csv": "2e34b064e6fc640ee93942e9d0b91647c3df4e720af131283305329fee0383c7"}),
     # 1, 2 and 3 blocks at n = 128, 256 and 512 (682, 372 and 195 lanes)
     "lln-rate": (["replicas=500", "n_list=[128, 256, 512]", "times=[0.5]", "seed=1"], {
-        "lln.csv": "68305dfb0e5998c560916966823e7820b6ddf277da00d47641fa32e182230826"}),
+        "lln.csv": "e7463062cff2e8853cd8a7cf3d1d926f1a6b52148a63bea8caa88cc06cbb5c80"}),
 }
 
 
