@@ -41,10 +41,6 @@ class SubGaussianSample:
         return x
 
 
-def zero_sample() -> SubGaussianSample:
-    return SubGaussianSample("zero", 1.0, 0.5, lambda rng, size: np.zeros(size))
-
-
 def centered_indicator(u=0.5) -> SubGaussianSample:
     u = float(u)
     if not 0.0 < u < 1.0:
@@ -153,25 +149,3 @@ def check_psi2_additivity(s1: SubGaussianSample, s2: SubGaussianSample,
                                emp, bound, 4.0 * se, emp <= bound + 4.0 * se))
     return out
 
-
-def donsker_varadhan_two_point(mu, density, g, gamma):
-    """Both sides of the variational entropy bound on a two-point space.
-
-    Returns (lhs, rhs) of: int g f dmu <= gamma^-1 (int f log f dmu
-    + log int e^{gamma g} dmu); everything is computed exactly.
-    """
-    mu = np.asarray(mu, dtype=float)
-    f = np.asarray(density, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if mu.shape != (2,) or f.shape != (2,) or g.shape != (2,):
-        raise ValueError("two-point check needs length-2 vectors")
-    if abs(float(mu.sum()) - 1.0) > 1e-12 or np.any(mu <= 0):
-        raise ValueError("mu must be a strictly positive probability vector")
-    if abs(float((f * mu).sum()) - 1.0) > 1e-12 or np.any(f < 0):
-        raise ValueError("density must be nonnegative with unit mu-mass")
-    lhs = float(np.sum(g * f * mu))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        flogf = np.where(f > 0, f * np.log(np.maximum(f, 1e-300)), 0.0)
-    ent = float(np.sum(flogf * mu))
-    rhs = (ent + math.log(float(np.sum(np.exp(gamma * g) * mu)))) / gamma
-    return lhs, rhs

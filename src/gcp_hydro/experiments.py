@@ -172,9 +172,22 @@ def load_config(experiment, path=None, overrides=()):
                 node[part] = {}
             node = node[part]
         node[parts[-1]] = yaml.safe_load(raw)
-    if os.environ.get("GCP_HYDRO_SEED"):
-        cfg["seed"] = int(os.environ["GCP_HYDRO_SEED"])
+    seed = _env_int("GCP_HYDRO_SEED")
+    if seed is not None:
+        cfg["seed"] = seed
     return cfg
+
+
+def _env_int(name):
+    """An environment variable as an int, or as its text when it is not one,
+    for validation to reject; None when it is unset or empty."""
+    raw = os.environ.get(name)
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        return raw
 
 
 def _is_int(x):
@@ -218,9 +231,9 @@ def validate(cfg) -> list:
         if profile.interior_margin <= 0:
             v.append("profile: initial profile must stay strictly inside the "
                      "simplex (interior margin is 0)")
-    times = cfg.get("times", [])
-    if not times:
-        v.append("times: at least one observation time is required")
+    times = cfg.get("times")
+    if not isinstance(times, (list, tuple)) or not times:
+        v.append("times: at least one observation time is required, as a list")
     elif not all(_is_number(t) for t in times):
         v.append("times: observation times must be numbers")
     elif any(t < 0 for t in times):
@@ -229,11 +242,17 @@ def validate(cfg) -> list:
         v.append("times: observation times must be strictly increasing")
     elif name not in ("qv-check", "concentration") and len(times) > 1:
         v.append(f"times: {name} observes one time, the config lists {len(times)}")
-    n_list = cfg.get("n_list", [])
-    if not n_list or any(not _is_int(n) or n < 2 for n in n_list):
-        v.append("n_list: lattice sides must be integers >= 2")
+    n_list = cfg.get("n_list")
+    sides_ok = (isinstance(n_list, (list, tuple)) and bool(n_list)
+                and all(_is_int(n) and n >= 2 for n in n_list))
+    if not sides_ok:
+        v.append("n_list: lattice sides must be a list of integers >= 2")
     elif name in ("qv-check", "entropy-exact") + FLUCTUATION_EXPERIMENTS and len(n_list) > 1:
         v.append(f"n_list: {name} runs one lattice size, the config lists {len(n_list)}")
+    elif name == "lln-rate" and len(n_list) < RATE_FIT_MIN_POINTS:
+        v.append(f"n_list: rate fit needs at least {RATE_FIT_MIN_POINTS} sizes")
+    elif name == "hydro-converge" and len(n_list) < 3:
+        v.append("n_list: convergence study needs at least 3 sizes")
     k, state = cfg.get("k"), cfg.get("state")
     if "state" in cfg and name in ("lln-rate",) + FLUCTUATION_EXPERIMENTS and _is_int(k):
         if type(state) is not int or not 0 <= state <= k:
@@ -247,10 +266,20 @@ def validate(cfg) -> list:
     elif name == "concentration" and replicas < MGF_MIN_REPLICAS:
         v.append(f"replicas: concentration needs replicas >= {MGF_MIN_REPLICAS} "
                  "for its exponential-moment estimates")
-    if name == "lln-rate" and len(n_list) < RATE_FIT_MIN_POINTS:
-        v.append(f"n_list: rate fit needs at least {RATE_FIT_MIN_POINTS} sizes")
+    if "functions" in cfg:
+        functions = cfg["functions"]
+        if not functions or not isinstance(functions, list):
+            v.append("functions: at least one test function is required, as a list")
+        for f in functions if isinstance(functions, list) else ():
+            try:
+                TestFunction.from_config(f)
+            except Exception as exc:
+                v.append(f"functions: {exc}")
     if not _is_int(cfg.get("seed")) or cfg["seed"] < 0:
-        v.append("seed: master seed must be a nonnegative integer")
+        v.append(f"seed: master seed must be a nonnegative integer, got {cfg.get('seed')!r}")
+    workers = _env_int("GCP_HYDRO_WORKERS")
+    if workers is not None and not (_is_int(workers) and workers > 0):
+        v.append(f"workers: GCP_HYDRO_WORKERS must be a positive integer, got {workers!r}")
     for key, integral in POSITIVE_KEYS:
         if key in cfg and not ((_is_int if integral else _is_number)(cfg[key]) and cfg[key] > 0):
             v.append(f"{key}: must be a positive {'integer' if integral else 'number'}, "
@@ -258,21 +287,22 @@ def validate(cfg) -> list:
     if "slope_target" in cfg and not _is_number(cfg["slope_target"]):
         v.append(f"slope_target: must be a number, got {cfg['slope_target']!r}")
     if name == "hydro-converge":
-        if len(n_list) < 3:
-            v.append("n_list: convergence study needs at least 3 sizes")
-        n_ref = cfg.get("n_ref", 0)
-        if n_list and (not _is_int(n_ref) or any(n_ref % n for n in n_list)):
+        n_ref = cfg.get("n_ref")
+        if not _is_int(n_ref) or n_ref < 2:
+            v.append(f"n_ref: reference lattice side must be an integer >= 2, got {n_ref!r}")
+        elif sides_ok and any(n_ref % n for n in n_list):
             v.append("n_ref: every study size must divide the reference size")
     # a table fits one lattice only; concentration builds none
     if (spec is not None and spec.table is not None and name != "concentration"
             and _is_int(cfg.get("d"))):
-        sides = list(n_list) + ([cfg.get("n_ref")] if name == "hydro-converge" else [])
+        sides = (list(n_list) if sides_ok else []) + (
+            [cfg.get("n_ref")] if name == "hydro-converge" else [])
         sizes = sorted({n ** cfg["d"] for n in sides if _is_int(n)})
         if sizes and sizes != [spec.params["n_sites"]]:
             v.append(f"kernel: tabulated kernel has {spec.params['n_sites']} sites, "
                      f"the lattices have {sizes}")
-    if name in ("qv-check", "entropy-exact") and n_list:
-        states = (cfg.get("k", 1) + 1) ** (n_list[0] ** cfg.get("d", 1))
+    if name in ("qv-check", "entropy-exact") and sides_ok and _is_int(k) and _is_int(cfg.get("d")):
+        states = (k + 1) ** (n_list[0] ** cfg["d"])
         if states > STATE_CAP:
             v.append(f"n_list: enumeration of {states} states exceeds the cap {STATE_CAP}")
     return v
@@ -293,8 +323,9 @@ def _functions(cfg):
 
 
 def _workers(cfg):
-    env = os.environ.get("GCP_HYDRO_WORKERS")
-    return max(int(env) if env else int(cfg.get("workers", 1)), 1)
+    """GCP_HYDRO_WORKERS, else the config's workers; validation checked both."""
+    env = _env_int("GCP_HYDRO_WORKERS")
+    return cfg.get("workers", 1) if env is None else env
 
 
 def _pmap(fn, args_list, workers):

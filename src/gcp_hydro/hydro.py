@@ -7,8 +7,8 @@ normalized kernel convolution of the top-state density:
 
 with A the recover-to-zero generator and M the raise-one-state stencil.
 Alongside the forward solver this module provides the adjoint (backward)
-flow used to predict fluctuation variances, a fine-lattice reference run,
-and a discretization-convergence study.  The forward solve is a generator,
+flow used to predict fluctuation variances and a discretization-convergence
+study against a fine-lattice reference run.  The forward solve is a generator,
 ``density_steps``; ``integrate`` collects its states for the callers that
 read every grid time, and ``final_density`` keeps only the last.
 """
@@ -231,15 +231,6 @@ def _lattice_run(profile, spec: KernelSpec, a, k, t_end, n, d, h):
     return params.kernel.engine, u, steps, renorms
 
 
-def reference_continuum(profile, spec: KernelSpec, a, k, t_end, n_ref, d=1, h=None) -> DensityField:
-    """Fine-lattice density at t_end, standing in for the continuum solution.
-
-    n_ref should be at least 4x the largest lattice under study; the study
-    lattices must divide n_ref so restriction is plain subsampling.
-    """
-    return _lattice_run(profile, spec, a, k, t_end, n_ref, d, h)[1]
-
-
 def restrict(fine: DensityField, coarse: TorusLattice) -> DensityField:
     """Subsample a fine-lattice field onto a coarser lattice with n | n_ref."""
     ratio, rem = divmod(fine.lattice.n, coarse.n)
@@ -287,22 +278,6 @@ def convergence_study(n_list, spec: KernelSpec, profile, a, k, t_end,
         from .stats import rate_fit
         fit = rate_fit(list(zip(n_list, errors)))
     return ConvergenceTable(list(n_list), errors, fit, steps, renorms, engines)
-
-
-def trajectory_header(k) -> tuple:
-    return ("t", "site") + tuple(f"u{i}" for i in range(k + 1))
-
-
-def trajectory_rows(traj: Trajectory):
-    """Long-format rows (t, site, u0..uk) for CSV export."""
-    for m, t in enumerate(traj.times):
-        for x in range(traj.lattice.n_sites):
-            yield (float(t), x) + tuple(float(v) for v in traj.u[m, x])
-
-
-def write_trajectory_csv(traj: Trajectory, path):
-    from .io_utils import write_csv
-    write_csv(path, trajectory_header(traj.k), trajectory_rows(traj))
 
 
 @dataclass

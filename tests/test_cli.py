@@ -179,11 +179,40 @@ def test_cli_main_exit_codes(tmp_path):
     ("concentration", "matrix_size=-3", "matrix_size"),
     ("hydro-converge", "slope_tol=abc", "slope_tol"),  # failed after the whole study
     ("lln-rate", "slope_target=abc", "slope_target"),
+    # validate itself raised on these, or passed them to a run that raised
+    ("hydro-converge", "n_list=[a, 8, 16]", "n_list"),
+    ("hydro-converge", "n_list=[0, 8, 16]", "n_list"),
+    ("lln-rate", "n_list=16", "n_list"),
+    ("clt-check", "times=0.5", "times"),
+    ("hydro-converge", "n_ref=0", "n_ref"),
+    ("lln-rate", "functions=[{name: nope}]", "functions"),
+    ("clt-check", "functions=[{name: cos, mode: a}]", "functions"),
+    ("lln-rate", "functions=[]", "functions"),
 ])
 def test_unrunnable_sizes_are_config_errors(tmp_path, capsys, experiment, override, field):
     # each used to fail inside the run (traceback or nan rows) with exit 1,
     # the code of a failed threshold; the date left CSVs without a run.json
     rc = main([experiment, "--set", override, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("experiment, var, value, field", [
+    # a bare int() used to end these in a ValueError traceback and exit 1
+    ("qv-check", "GCP_HYDRO_SEED", "abc", "seed"),
+    ("lln-rate", "GCP_HYDRO_SEED", "-3", "seed"),
+    ("lln-rate", "GCP_HYDRO_WORKERS", "abc", "workers"),
+    ("clt-check", "GCP_HYDRO_WORKERS", "abc", "workers"),
+    ("init-cov", "GCP_HYDRO_WORKERS", "abc", "workers"),
+    # and these silently ran on one worker, where workers: 0 is rejected
+    ("lln-rate", "GCP_HYDRO_WORKERS", "0", "workers"),
+    ("lln-rate", "GCP_HYDRO_WORKERS", "-3", "workers"),
+])
+def test_bad_environment_values_are_config_errors(tmp_path, capsys, monkeypatch, experiment,
+                                                  var, value, field):
+    monkeypatch.setenv(var, value)
+    rc = main([experiment, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"config error: {field}:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -6,10 +6,13 @@ import pytest
 from gcp_hydro.concentration import (MGF_MIN_REPLICAS, SubGaussianSample,
                                      centered_indicator, check_hanson_wright,
                                      check_hoeffding,
-                                     check_psi2_additivity, check_quad,
-                                     donsker_varadhan_two_point, rademacher,
-                                     zero_sample)
+                                     check_psi2_additivity, check_quad, rademacher)
 from gcp_hydro.gcp import replica_rng
+
+
+def zero_sample() -> SubGaussianSample:
+    """The degenerate sampler: always 0, inside the range [-0.5, 0.5]."""
+    return SubGaussianSample("zero", 1.0, 0.5, lambda rng, size: np.zeros(size))
 
 
 def test_zero_sample_trivial_bounds():
@@ -93,23 +96,3 @@ def test_sampler_range_enforced():
                             lambda rng, size: np.full(size, 2.0))
     with pytest.raises(ValueError, match="declared range"):
         bad.sample(replica_rng(7, 0), 10)
-
-
-def test_donsker_varadhan_two_point_exact():
-    mu = np.array([0.5, 0.5])
-    f = np.array([1.8, 0.2])       # density wrt mu
-    g = np.array([0.7, -1.2])
-    for gamma in (0.5, 1.0, 2.0):
-        lhs, rhs = donsker_varadhan_two_point(mu, f, g, gamma)
-        assert lhs <= rhs + 1e-14
-    # equality at the optimizer g = log f (gamma = 1)
-    g_opt = np.log(np.maximum(f, 1e-12))
-    lhs, rhs = donsker_varadhan_two_point(mu, f, g_opt, 1.0)
-    assert rhs - lhs == pytest.approx(0.0, abs=1e-12)
-
-
-def test_donsker_varadhan_input_validation():
-    with pytest.raises(ValueError, match="probability"):
-        donsker_varadhan_two_point([0.7, 0.7], [1.0, 1.0], [0.0, 0.0], 1.0)
-    with pytest.raises(ValueError, match="unit mu-mass"):
-        donsker_varadhan_two_point([0.5, 0.5], [1.0, 0.5], [0.0, 0.0], 1.0)

@@ -8,7 +8,7 @@ from gcp_hydro.entropy import LawTrajectory
 from gcp_hydro.hydro import (DensityField, ModelParams,
                              backward_fp, build_A, build_M, colsum_norm,
                              convergence_study, density_steps, drift, final_density,
-                             integrate, profile_field, reference_continuum, restrict)
+                             integrate, profile_field, restrict)
 from gcp_hydro.lattice import DiscreteKernel, KernelSpec, TorusLattice, discretize
 from gcp_hydro.profiles import InitialProfile
 
@@ -311,25 +311,14 @@ def test_reference_self_consistency_second_order_in_two_dimensions():
     # shrinks the gap roughly fourfold
     prof = InitialProfile.cosine_simplex([0.5, 0.5], [0.15, -0.15], [1, 0])
     spec = KernelSpec.cosine(0.5, d=2)
-    runs = {n: reference_continuum(prof, spec, 1.0, 1, 0.5, n, d=2, h=0.01)
-            for n in (8, 16, 32)}
+    runs = {}
+    for n in (8, 16, 32):
+        lat = TorusLattice(2, n)
+        params = ModelParams(1.0, 1, discretize(spec, lat))
+        runs[n] = final_density(profile_field(prof, lat), params, 0.5, h=0.01)[0]
     e_8 = np.max(np.abs(runs[8].u - restrict(runs[16], runs[8].lattice).u))
     e_16 = np.max(np.abs(runs[16].u - restrict(runs[32], runs[16].lattice).u))
     assert 2.5 < e_8 / e_16 < 6.5
-
-
-def test_trajectory_csv_export(tmp_path):
-    from gcp_hydro.hydro import write_trajectory_csv
-    p = _params(n=4, k=1, a=1.0)
-    traj = integrate(_uniform_field(p, [0.4, 0.6]), p, 0.2, h=0.1)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,site,u0,u1"
-    assert len(lines) == 1 + 3 * 4  # three grid times, four sites
-    first = lines[1].split(",")
-    assert first[0] == "0.0" and first[1] == "0"
-    assert float(first[2]) == pytest.approx(0.4)
 
 
 def test_density_steps_yield_integrate_rows_bit_for_bit():
