@@ -268,13 +268,14 @@ def validate(cfg) -> list:
                  "for its exponential-moment estimates")
     if "functions" in cfg:
         functions = cfg["functions"]
-        if not functions or not isinstance(functions, list):
+        if not isinstance(functions, list) or not functions:
             v.append("functions: at least one test function is required, as a list")
-        for f in functions if isinstance(functions, list) else ():
-            try:
-                TestFunction.from_config(f)
-            except Exception as exc:
-                v.append(f"functions: {exc}")
+        else:
+            for f in functions:
+                try:
+                    TestFunction.from_config(f)
+                except Exception as exc:
+                    v.append(f"functions: {exc}")
     if not _is_int(cfg.get("seed")) or cfg["seed"] < 0:
         v.append(f"seed: master seed must be a nonnegative integer, got {cfg.get('seed')!r}")
     workers = _env_int("GCP_HYDRO_WORKERS")
