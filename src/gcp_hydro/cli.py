@@ -35,20 +35,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.experiment, args.config, args.overrides)
-    except ConfigError as exc:
-        for item in exc.violations:
-            print(f"config error: {item}", file=sys.stderr)
-        return 2
-    violations = validate(cfg)
-    if violations:
-        for item in violations:
-            print(f"config error: {item}", file=sys.stderr)
-        return 2
-    if args.validate_only:
-        print("config ok")
-        return 0
-    try:
-        result = run(cfg, args.out)
+        if args.validate_only:
+            violations = validate(cfg)
+            if violations:
+                raise ConfigError(violations)
+            print("config ok")
+            return 0
+        result = run(cfg, args.out)  # validates before it writes anything
     except ConfigError as exc:
         for item in exc.violations:
             print(f"config error: {item}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # beyond theta ~ 4 the exponential-moment estimator variance explodes
-DEFAULT_THETAS = tuple(np.geomspace(0.1, 4.0, 9))
+THETAS = tuple(np.geomspace(0.1, 4.0, 9))
 MGF_MIN_REPLICAS = 10_000   # exponential moments have heavy tails; fewer is noise
 
 
@@ -80,14 +80,12 @@ def _log_mean_exp(values):
     return math.log(m), se / m
 
 
-def check_hoeffding(sample: SubGaussianSample, thetas=DEFAULT_THETAS,
-                    replicas=MGF_MIN_REPLICAS, rng=None) -> list:
+def check_hoeffding(sample: SubGaussianSample, replicas, rng) -> list:
     """log E[e^{theta X}] <= theta^2 a^2 / 8 for centered X with range a."""
     _require_replicas("hoeffding", replicas)
-    rng = rng or np.random.default_rng(0)
     x = sample.sample(rng, replicas)
     out = []
-    for theta in thetas:
+    for theta in THETAS:
         emp, se = _log_mean_exp(theta * x)
         bound = theta ** 2 * sample.range_length ** 2 / 8.0
         out.append(CheckResult(f"hoeffding[{sample.name}]", float(theta),
@@ -95,10 +93,9 @@ def check_hoeffding(sample: SubGaussianSample, thetas=DEFAULT_THETAS,
     return out
 
 
-def check_quad(sample: SubGaussianSample, replicas=MGF_MIN_REPLICAS, rng=None) -> CheckResult:
+def check_quad(sample: SubGaussianSample, replicas, rng) -> CheckResult:
     """E[e^{gamma X^2}] <= 3 at gamma = 1 / (4 psi2^2) with psi2 = a/2."""
     _require_replicas("quadratic", replicas)
-    rng = rng or np.random.default_rng(0)
     gamma = 1.0 / (4.0 * sample.psi2_bound ** 2)
     x = sample.sample(rng, replicas)
     vals = np.exp(gamma * x ** 2)
@@ -108,16 +105,15 @@ def check_quad(sample: SubGaussianSample, replicas=MGF_MIN_REPLICAS, rng=None) -
                        emp <= 3.0 + 4.0 * se)
 
 
-def check_hanson_wright(size, g, replicas=MGF_MIN_REPLICAS, rng=None,
-                        sample: SubGaussianSample = None) -> CheckResult:
-    """E[exp(gamma sum_{i != j} g_ij X_i Y_j)] <= 3 at the bilinear threshold
-    gamma = (1024 sum sigma_i^2 sigma_j^2 g_ij^2)^{-1/2}."""
+def check_hanson_wright(g, replicas, rng) -> CheckResult:
+    """E[exp(gamma sum_{i != j} g_ij X_i Y_j)] <= 3 for Rademacher X, Y at the
+    bilinear threshold gamma = (1024 sum sigma_i^2 sigma_j^2 g_ij^2)^{-1/2}."""
     _require_replicas("bilinear", replicas)
-    rng = rng or np.random.default_rng(0)
-    sample = sample or rademacher()
+    sample = rademacher()
     g = np.asarray(g, dtype=float)
-    if g.shape != (size, size):
-        raise ValueError(f"coefficient matrix must be {size}x{size}")
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError(f"coefficient matrix must be square, got shape {g.shape}")
+    size = len(g)
     if np.any(np.diag(g) != 0.0):
         raise ValueError("coefficient matrix must have zero diagonal")
     s2 = sample.psi2_bound ** 2
@@ -134,15 +130,14 @@ def check_hanson_wright(size, g, replicas=MGF_MIN_REPLICAS, rng=None,
 
 
 def check_psi2_additivity(s1: SubGaussianSample, s2: SubGaussianSample,
-                          thetas=DEFAULT_THETAS, replicas=MGF_MIN_REPLICAS, rng=None) -> list:
+                          replicas, rng) -> list:
     """For independent X, Y: log E[e^{theta (X+Y)}] <= theta^2 (psi_X^2 + psi_Y^2)/2."""
     _require_replicas("psi2-additivity", replicas)
-    rng = rng or np.random.default_rng(0)
     x = s1.sample(rng, replicas)
     y = s2.sample(rng, replicas)
     cap = (s1.psi2_bound ** 2 + s2.psi2_bound ** 2) / 2.0
     out = []
-    for theta in thetas:
+    for theta in THETAS:
         emp, se = _log_mean_exp(theta * (x + y))
         bound = theta ** 2 * cap
         out.append(CheckResult(f"psi2-sum[{s1.name}+{s2.name}]", float(theta),

@@ -405,16 +405,16 @@ def double_exp_envelope(c, t):
     return c * (np.exp(c * (np.expm1(c * t))) - 1.0)
 
 
-def fit_envelope_constant(times, values, anchor_index=-1, c_max=1e3) -> float:
-    """Smallest c whose envelope passes through the anchored entropy value."""
-    target = float(values[anchor_index])
-    t = float(times[anchor_index])
+def fit_envelope_constant(times, values) -> float:
+    """Smallest c whose envelope passes through the entropy at the last grid time."""
+    target = float(values[-1])
+    t = float(times[-1])
     if target <= 0.0 or t <= 0.0:
         return 0.0
     lo, hi = 0.0, 1.0
     while double_exp_envelope(hi, t) < target:
         hi *= 2.0
-        if hi > c_max:
+        if hi > 1e3:
             raise ValueError("envelope constant fit did not bracket the target")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -452,8 +452,7 @@ class EntropyReport:
                                       self.production_rhs, self.envelope)]
 
 
-def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h,
-                             anchor_time=None) -> EntropyReport:
+def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h) -> EntropyReport:
     """Exact entropy trajectory with the production bound checked pointwise.
 
     The law of the process and the density trajectory are integrated with the
@@ -488,8 +487,7 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h,
         walls["functionals"] += clock - mark
     step = traj.step
     fd = np.gradient(entropy, step) if m > 1 else np.zeros(1)
-    anchor_index = -1 if anchor_time is None else grid_index(traj.times, anchor_time)
-    c = fit_envelope_constant(traj.times, entropy, anchor_index=anchor_index)
+    c = fit_envelope_constant(traj.times, entropy)
     envelope = double_exp_envelope(c, traj.times)
     metrics = {
         "entropy": {"states": space.size, "rk4_steps": m - 1,

@@ -95,7 +95,7 @@ DEFAULTS = {
         "n_list": [256], "times": [0.0], "replicas": 5000,
         "functions": [{"name": "constant"}, {"name": "cos", "mode": 1},
                       {"name": "sin", "mode": 1}],
-        "seed": 20260810, "skew_limit": 0.2, "kurt_limit": 0.3,
+        "h": 0.01, "seed": 20260810, "skew_limit": 0.2, "kurt_limit": 0.3,
     },
     "entropy-exact": {
         "d": 1, "k": 1, "a": 1.0,
@@ -113,6 +113,15 @@ DEFAULTS = {
     },
 }
 
+# keys a config may hold beyond its experiment's defaults, besides
+# `experiment` and `workers`; any other key is a config error, since the run
+# would never read it
+OPTIONAL_KEYS = {
+    "hydro-converge": ("slope_target",),
+    "lln-rate": ("slope_target",),
+    "clt-check": ("dump_configs",),
+    "init-cov": ("dump_configs", "state"),
+}
 MC_EXPERIMENTS = ("lln-rate", "clt-check", "init-cov", "concentration")
 FLUCTUATION_EXPERIMENTS = ("clt-check", "init-cov")
 # step, thresholds and sizes that must be positive where a config has them:
@@ -209,6 +218,9 @@ def validate(cfg) -> list:
         json.dumps(cfg, sort_keys=True)
     except (TypeError, ValueError) as exc:
         v.append(f"config: run.json cannot hold the config: {exc}")
+    known = set(DEFAULTS[name]) | {"experiment", "workers"} | set(OPTIONAL_KEYS.get(name, ()))
+    for key in sorted(set(cfg) - known, key=str):
+        v.append(f"{key}: {name} reads no such key")
     if not _is_int(cfg.get("d")) or cfg["d"] < 1:
         v.append("d: spatial dimension must be a positive integer")
     if not _is_int(cfg.get("k")) or cfg["k"] < 1:
@@ -270,12 +282,21 @@ def validate(cfg) -> list:
         functions = cfg["functions"]
         if not isinstance(functions, list) or not functions:
             v.append("functions: at least one test function is required, as a list")
-        else:
+        else:  # each must evaluate on every lattice the run builds
+            sides = n_list if sides_ok and _is_int(cfg.get("d")) and cfg["d"] >= 1 else []
             for f in functions:
                 try:
-                    TestFunction.from_config(f)
+                    fn = TestFunction.from_config(f)
                 except Exception as exc:
                     v.append(f"functions: {exc}")
+                    continue
+                for n in sides:
+                    try:
+                        fn.values_on(TorusLattice(cfg["d"], n))
+                    except Exception as exc:
+                        v.append(f"functions: {f!r} does not evaluate on the d={cfg['d']} "
+                                 f"lattice of side {n}: {exc}")
+                        break
     if not _is_int(cfg.get("seed")) or cfg["seed"] < 0:
         v.append(f"seed: master seed must be a nonnegative integer, got {cfg.get('seed')!r}")
     workers = _env_int("GCP_HYDRO_WORKERS")
@@ -320,7 +341,7 @@ def _system(cfg, n):
 
 
 def _functions(cfg):
-    return [TestFunction.from_config(f) for f in cfg.get("functions", [{"name": "constant"}])]
+    return [TestFunction.from_config(f) for f in cfg["functions"]]
 
 
 def _workers(cfg):
@@ -364,7 +385,7 @@ def _observe(cfg, n, t, lo, hi, u_t, pair):
 def _lln_batch(args):
     cfg, n, t, lo, hi, u_t = args
     fns = _functions(cfg)
-    state = int(cfg.get("state", cfg["k"]))
+    state = cfg["state"]
     return _observe(cfg, n, t, lo, hi, u_t, lambda w, config: (
         np.stack([lln_error(w, f, state) ** 2 for f in fns], axis=-1),))
 
@@ -401,8 +422,8 @@ def _run_hydro_converge(cfg):
     spec = KernelSpec.from_config(cfg["kernel"], d=cfg["d"])
     profile = InitialProfile.from_config(cfg["profile"])
     table = convergence_study(cfg["n_list"], spec, profile, cfg["a"], cfg["k"],
-                              cfg["times"][-1], n_ref=cfg.get("n_ref"),
-                              d=cfg["d"], h=cfg.get("h"))
+                              cfg["times"][-1], n_ref=cfg["n_ref"],
+                              d=cfg["d"], h=cfg["h"])
     # the zero-diagonal lattice equation is biased by O(n^-d), so the
     # expected log-log slope is -d unless the config names its own target
     target, tol = cfg.get("slope_target", -float(cfg["d"])), cfg["slope_tol"]
@@ -419,7 +440,7 @@ def _run_hydro_converge(cfg):
 def _run_lln_rate(cfg):
     t = cfg["times"][-1]
     fns = _functions(cfg)
-    state = int(cfg.get("state", cfg["k"]))
+    state = cfg["state"]
     rows, slopes, counters = [], {}, []
     per_f_means = {f.name: [] for f in fns}
     for n in cfg["n_list"]:
@@ -490,7 +511,7 @@ def _predicted_cov(cfg, n, t, marginals):
     """The mild covariance of the marginals at t, and the density at t; the
     system and its trajectory are freed on return, before the replicas run."""
     _, params, u0 = _system(cfg, n)
-    traj = integrate(u0, params, t, h=cfg.get("h"))
+    traj = integrate(u0, params, t, cfg["h"])
     return predicted_cov_mild([terminal_datum(f, i, params.lattice, params.k)
                                for f, i in marginals], t, traj, params), traj.final()
 
@@ -498,7 +519,7 @@ def _predicted_cov(cfg, n, t, marginals):
 def _density_at(cfg, n, t):
     """The density at t on the lattice of side n, solved without its trajectory."""
     _, params, u0 = _system(cfg, n)
-    return final_density(u0, params, t, h=cfg.get("h"))[0]
+    return final_density(u0, params, t, cfg["h"])[0]
 
 
 def _run_qv_check(cfg):
@@ -506,11 +527,10 @@ def _run_qv_check(cfg):
     _, params, u0 = _system(cfg, n)
     space = StateSpace(params.lattice, params.k)
     fns = _functions(cfg)
-    t_end = cfg["times"][-1]
-    traj = integrate(u0, params, t_end, h=cfg.get("h")) if t_end > 0 else None
+    traj = integrate(u0, params, cfg["times"][-1], cfg["h"])
     rows, worst = [], 0.0
     for t in cfg["times"]:
-        u_t = traj.field_at(t) if traj is not None else u0
+        u_t = traj.field_at(t)
         mu = profile_law(u_t, space)
         gam = gamma_field(u_t, params)
         for f in fns:
@@ -532,7 +552,7 @@ def _run_qv_check(cfg):
 def _run_entropy_exact(cfg):
     n = cfg["n_list"][0]
     _, params, u0 = _system(cfg, n)
-    report = entropy_production_check(params, u0, cfg["times"][-1], cfg.get("h", 0.01))
+    report = entropy_production_check(params, u0, cfg["times"][-1], cfg["h"])
     passed = (abs(report.entropy[0]) <= 1e-12
               and float(np.min(report.entropy)) >= -1e-12
               and report.inequality_holds()
@@ -547,7 +567,7 @@ def _run_entropy_exact(cfg):
 
 def _run_concentration(cfg):
     replicas = cfg["replicas"]
-    size = int(cfg.get("matrix_size", 8))
+    size = cfg["matrix_size"]
     rng = replica_rng(cfg["seed"], 0)
     g = rng.integers(0, 2, (size, size)) * 2.0 - 1.0
     np.fill_diagonal(g, 0.0)
@@ -560,7 +580,7 @@ def _run_concentration(cfg):
                               rng=replica_rng(cfg["seed"], 3)))
     results.append(check_quad(rademacher(), replicas=replicas,
                               rng=replica_rng(cfg["seed"], 4)))
-    results.append(check_hanson_wright(size, g, replicas=replicas,
+    results.append(check_hanson_wright(g, replicas=replicas,
                                        rng=replica_rng(cfg["seed"], 5)))
     results += check_psi2_additivity(centered_indicator(0.5), rademacher(),
                                      replicas=replicas, rng=replica_rng(cfg["seed"], 6))

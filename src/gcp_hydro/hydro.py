@@ -22,6 +22,8 @@ import numpy as np
 from .lattice import TorusLattice, KernelSpec, DiscreteKernel, discretize
 
 MASS_TOL = 1e-9
+# round-off: a study with an error at or below this fits no rate
+ERROR_FLOOR = 1e-13
 
 
 def build_A(a, k) -> np.ndarray:
@@ -42,11 +44,6 @@ def build_M(k) -> np.ndarray:
     return M
 
 
-def colsum_norm(m) -> float:
-    """Max absolute column sum, the operator-norm surrogate used for step control."""
-    return float(np.max(np.abs(m).sum(axis=0))) if m.size else 0.0
-
-
 class ModelParams:
     """Static description of the dynamics: recovery rate a, top state k, kernel."""
 
@@ -64,13 +61,6 @@ class ModelParams:
     @property
     def lattice(self) -> TorusLattice:
         return self.kernel.lattice
-
-    def lipschitz_scale(self) -> float:
-        """||A|| + ||J||_{1,n} ||M||, the growth rate entering step-size control."""
-        return colsum_norm(self.A) + self.kernel.norm_1n * colsum_norm(self.M)
-
-    def default_step(self) -> float:
-        return min(1e-2, 0.1 / max(self.lipschitz_scale(), 1e-12))
 
 
 @dataclass
@@ -168,7 +158,7 @@ def rk4_step(rate, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def density_steps(u0: DensityField, params: ModelParams, t_end, h=None):
+def density_steps(u0: DensityField, params: ModelParams, t_end, h):
     """Classical fixed-step RK4 for the density system on {0, h, ..., t_end},
     yielding (u, renormalized) per grid time, u0 first.
 
@@ -181,8 +171,6 @@ def density_steps(u0: DensityField, params: ModelParams, t_end, h=None):
     u0.validate()
     if u0.k != params.k or u0.lattice != params.lattice:
         raise ValueError("initial field does not match model parameters")
-    if h is None:
-        h = params.default_step()
     times, h = _grid(t_end, h)
     u = u0.u.copy()
     yield u, False
@@ -200,10 +188,8 @@ def density_steps(u0: DensityField, params: ModelParams, t_end, h=None):
         yield u, renormalized
 
 
-def integrate(u0: DensityField, params: ModelParams, t_end, h=None) -> Trajectory:
+def integrate(u0: DensityField, params: ModelParams, t_end, h) -> Trajectory:
     """Every grid state of ``density_steps``, for callers that read them all."""
-    if h is None:
-        h = params.default_step()
     times = _grid(t_end, h)[0]
     out = np.empty(times.shape + u0.u.shape)
     renorms = 0
@@ -213,7 +199,7 @@ def integrate(u0: DensityField, params: ModelParams, t_end, h=None) -> Trajector
     return Trajectory(u0.lattice, u0.k, times, out, renormalizations=renorms)
 
 
-def final_density(u0: DensityField, params: ModelParams, t_end, h=None):
+def final_density(u0: DensityField, params: ModelParams, t_end, h):
     """(u_t_end, steps, renormalizations): the last state of ``density_steps``
     with the solve's counts, holding one grid state at a time."""
     renorms = 0
@@ -257,13 +243,11 @@ class ConvergenceTable:
 
 
 def convergence_study(n_list, spec: KernelSpec, profile, a, k, t_end,
-                      n_ref=None, d=1, h=None, error_floor=1e-13) -> ConvergenceTable:
+                      *, n_ref, h, d=1) -> ConvergenceTable:
     """Integrate on each lattice in n_list and compare against a fine reference."""
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 3:
         raise ValueError("convergence study needs at least 3 lattice sizes")
-    if n_ref is None:
-        n_ref = 4 * n_list[-1]
     for n in n_list:
         if n_ref % n != 0:
             raise ValueError(f"study size n={n} must divide the reference size {n_ref}")
@@ -274,7 +258,7 @@ def convergence_study(n_list, spec: KernelSpec, profile, a, k, t_end,
         steps, renorms = steps + m, renorms + r
         errors.append(float(np.max(np.abs(final.u - restrict(ref, final.lattice).u))))
     fit = None
-    if min(errors) > error_floor:
+    if min(errors) > ERROR_FLOOR:
         from .stats import rate_fit
         fit = rate_fit(list(zip(n_list, errors)))
     return ConvergenceTable(list(n_list), errors, fit, steps, renorms, engines)

@@ -188,6 +188,15 @@ def test_cli_main_exit_codes(tmp_path):
     ("lln-rate", "functions=[{name: nope}]", "functions"),
     ("clt-check", "functions=[{name: cos, mode: a}]", "functions"),
     ("lln-rate", "functions=[]", "functions"),
+    # functions that build but cannot be evaluated on the d = 1 lattice
+    ("lln-rate", "functions=[{name: cos, mode: [1, 2]}]", "functions"),
+    ("clt-check", "functions=[{name: bump, center: [0.5, 0.5]}]", "functions"),
+    ("init-cov", "functions=[{name: tabulated, values: [1, 2, 3]}]", "functions"),
+    # keys the experiment never reads: the run used to ignore them
+    ("clt-check", "replica=600", "replica"),
+    ("qv-check", "state=1", "state"),
+    ("entropy-exact", "slope_target=-1.0", "slope_target"),
+    ("hydro-converge", "dump_configs=true", "dump_configs"),
 ])
 def test_unrunnable_sizes_are_config_errors(tmp_path, capsys, experiment, override, field):
     # each used to fail inside the run (traceback or nan rows) with exit 1,

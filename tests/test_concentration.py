@@ -54,13 +54,12 @@ def test_quad_indicator_and_rademacher():
 
 
 def test_hanson_wright_zero_and_random_matrix():
-    zero = check_hanson_wright(4, np.zeros((4, 4)), replicas=10_000,
-                               rng=replica_rng(5, 0))
+    zero = check_hanson_wright(np.zeros((4, 4)), replicas=10_000, rng=replica_rng(5, 0))
     assert zero.empirical == pytest.approx(1.0)
     rng = replica_rng(5, 1)
     g = rng.integers(0, 2, (8, 8)) * 2.0 - 1.0
     np.fill_diagonal(g, 0.0)
-    res = check_hanson_wright(8, g, replicas=50_000, rng=replica_rng(5, 2))
+    res = check_hanson_wright(g, replicas=50_000, rng=replica_rng(5, 2))
     assert res.passed
     expected_gamma = 1.0 / math.sqrt(1024.0 * float(np.sum(g ** 2)))
     assert res.parameter == pytest.approx(expected_gamma)
@@ -68,19 +67,20 @@ def test_hanson_wright_zero_and_random_matrix():
 
 def test_hanson_wright_rejects_nonzero_diagonal():
     with pytest.raises(ValueError, match="zero diagonal"):
-        check_hanson_wright(3, np.eye(3), replicas=10_000)
+        check_hanson_wright(np.eye(3), replicas=10_000, rng=replica_rng(5, 3))
 
 
 def test_replica_minimums_enforced():
     few = MGF_MIN_REPLICAS - 1
     with pytest.raises(ValueError, match="10000 replicas"):
-        check_hoeffding(rademacher(), replicas=few)
+        check_hoeffding(rademacher(), replicas=few, rng=replica_rng(8, 0))
     with pytest.raises(ValueError, match="10000 replicas"):
-        check_quad(rademacher(), replicas=few)
+        check_quad(rademacher(), replicas=few, rng=replica_rng(8, 0))
     with pytest.raises(ValueError, match="10000 replicas"):
-        check_hanson_wright(4, np.zeros((4, 4)), replicas=few)
+        check_hanson_wright(np.zeros((4, 4)), replicas=few, rng=replica_rng(8, 0))
     with pytest.raises(ValueError, match="10000 replicas"):
-        check_psi2_additivity(centered_indicator(0.5), rademacher(), replicas=few)
+        check_psi2_additivity(centered_indicator(0.5), rademacher(), replicas=few,
+                              rng=replica_rng(8, 0))
 
 
 def test_psi2_additivity():

@@ -221,7 +221,7 @@ def test_entropy_production_report():
 def test_envelope_fit_passes_through_anchor():
     times = np.array([0.0, 0.5, 1.0])
     values = np.array([0.0, 0.01, 0.05])
-    c = fit_envelope_constant(times, values, anchor_index=-1)
+    c = fit_envelope_constant(times, values)
     assert double_exp_envelope(c, 1.0) == pytest.approx(0.05, rel=1e-9)
     assert fit_envelope_constant(times, np.zeros(3)) == 0.0
 

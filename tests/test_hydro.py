@@ -6,7 +6,7 @@ import pytest
 
 from gcp_hydro.entropy import LawTrajectory
 from gcp_hydro.hydro import (DensityField, ModelParams,
-                             backward_fp, build_A, build_M, colsum_norm,
+                             backward_fp, build_A, build_M,
                              convergence_study, density_steps, drift, final_density,
                              integrate, profile_field, restrict)
 from gcp_hydro.lattice import DiscreteKernel, KernelSpec, TorusLattice, discretize
@@ -131,7 +131,8 @@ def test_a_priori_sup_bound():
     prof = InitialProfile.cosine_simplex([0.4, 0.35, 0.25], [0.1, -0.04, -0.06], 1)
     u0 = profile_field(prof, p.lattice)
     traj = integrate(u0, p, 2.0, h=0.01)
-    lam = colsum_norm(p.A) + p.kernel.norm_1n * colsum_norm(p.M)
+    # ||A|| + ||J||_{1,n} ||M|| in the max-column-sum norm
+    lam = np.abs(p.A).sum(axis=0).max() + p.kernel.norm_1n * np.abs(p.M).sum(axis=0).max()
     for m, t in enumerate(traj.times):
         assert np.max(np.abs(traj.u[m])) <= np.max(np.abs(u0.u)) * math.exp(lam * t) + 1e-12
 
@@ -362,7 +363,7 @@ def test_convergence_study_requires_divisible_sizes():
     prof = InitialProfile.cosine_simplex([0.5, 0.5], [0.1, -0.1], 1)
     with pytest.raises(ValueError, match="divide"):
         convergence_study([5, 8, 16], KernelSpec.constant(1.0), prof,
-                          1.0, 1, 0.2, n_ref=64)
+                          1.0, 1, 0.2, n_ref=64, h=0.01)
     with pytest.raises(ValueError, match="3 lattice sizes"):
         convergence_study([8, 16], KernelSpec.constant(1.0), prof,
-                          1.0, 1, 0.2, n_ref=64)
+                          1.0, 1, 0.2, n_ref=64, h=0.01)
