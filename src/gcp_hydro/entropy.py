@@ -24,6 +24,7 @@ configuration of the sites that vary slowest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 
 import numpy as np
@@ -47,12 +48,16 @@ class StateSpace:
         self.k = int(k)
         self.size = size
         self.strides = (k + 1) ** np.arange(n_sites, dtype=np.int64)
-        self.digits = np.empty((size, n_sites), dtype=np.uint8)
-        levels = np.arange(k + 1, dtype=np.uint8)[None, :, None]
-        for x in range(n_sites):
-            self.digits[:, x].reshape(-1, k + 1, self.strides[x])[...] = levels
         self.split = n_sites // 2
         self._low = (k + 1) ** self.split   # states of the sites below split
+
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """(S, N) uint8 table of every configuration, built on first read."""
+        digits = np.empty((self.size, len(self.strides)), dtype=np.uint8)
+        for x, stride in enumerate(self.strides):
+            digits[:, x].reshape(-1, self.k + 1, stride)[...] = np.arange(self.k + 1)[:, None]
+        return digits
 
     def rotate(self, a, out=None) -> np.ndarray:
         """A law re-indexed with sites split..N-1 varying fastest, written to

@@ -56,8 +56,7 @@ DEFAULTS = {
         "profile": {"name": "cosine-simplex", "base": [0.4, 0.35, 0.25],
                     "delta": [0.1, -0.04, -0.06], "mode": 1},
         "n_list": [16, 32, 64, 128], "n_ref": 512,
-        "times": [1.0], "h": 0.01, "replicas": 1, "seed": 20260810,
-        "slope_tol": 0.3,
+        "times": [1.0], "h": 0.01, "seed": 20260810, "slope_tol": 0.3,
     },
     "lln-rate": {
         "d": 1, "k": 2, "a": 1.0,
@@ -83,7 +82,7 @@ DEFAULTS = {
         "kernel": {"name": "constant", "c": 1.0},
         "profile": {"name": "cosine-simplex", "base": [0.4, 0.6],
                     "delta": [0.1, -0.1], "mode": 1},
-        "n_list": [4], "times": [0.0, 0.5], "replicas": 1, "h": 0.01,
+        "n_list": [4], "times": [0.0, 0.5], "h": 0.01,
         "functions": [{"name": "constant"}, {"name": "cos", "mode": 1}],
         "seed": 20260810, "tolerance": 1e-10,
     },
@@ -101,16 +100,9 @@ DEFAULTS = {
         "d": 1, "k": 1, "a": 1.0,
         "kernel": {"name": "constant", "c": 1.0},
         "profile": {"name": "constant", "values": [0.5, 0.5]},
-        "n_list": [4], "times": [1.0], "replicas": 1, "h": 0.01,
-        "seed": 20260810,
+        "n_list": [4], "times": [1.0], "h": 0.01, "seed": 20260810,
     },
-    "concentration": {
-        "d": 1, "k": 1, "a": 1.0,
-        "kernel": {"name": "constant", "c": 1.0},
-        "profile": {"name": "constant", "values": [0.5, 0.5]},
-        "n_list": [8], "times": [0.0], "replicas": 20000, "seed": 20260810,
-        "matrix_size": 8,
-    },
+    "concentration": {"replicas": 20000, "seed": 20260810, "matrix_size": 8},
 }
 
 # keys a config may hold beyond its experiment's defaults, besides
@@ -122,8 +114,6 @@ OPTIONAL_KEYS = {
     "clt-check": ("dump_configs",),
     "init-cov": ("dump_configs", "state"),
 }
-MC_EXPERIMENTS = ("lln-rate", "clt-check", "init-cov", "concentration")
-FLUCTUATION_EXPERIMENTS = ("clt-check", "init-cov")
 # step, thresholds and sizes that must be positive where a config has them:
 # (key, whether it must be an integer)
 POSITIVE_KEYS = (("h", False), ("slope_tol", False), ("skew_limit", False),
@@ -218,9 +208,32 @@ def validate(cfg) -> list:
         json.dumps(cfg, sort_keys=True)
     except (TypeError, ValueError) as exc:
         v.append(f"config: run.json cannot hold the config: {exc}")
-    known = set(DEFAULTS[name]) | {"experiment", "workers"} | set(OPTIONAL_KEYS.get(name, ()))
-    for key in sorted(set(cfg) - known, key=str):
+    # a key's rule applies where the experiment declares the key
+    declared = set(DEFAULTS[name]) | set(OPTIONAL_KEYS.get(name, ()))
+    for key in sorted(set(cfg) - declared - {"experiment", "workers"}, key=str):
         v.append(f"{key}: {name} reads no such key")
+    if not _is_int(cfg.get("seed")) or cfg["seed"] < 0:
+        v.append(f"seed: master seed must be a nonnegative integer, got {cfg.get('seed')!r}")
+    workers = _env_int("GCP_HYDRO_WORKERS")
+    if workers is not None and not (_is_int(workers) and workers > 0):
+        v.append(f"workers: GCP_HYDRO_WORKERS must be a positive integer, got {workers!r}")
+    for key, integral in POSITIVE_KEYS:
+        if key in cfg and not ((_is_int if integral else _is_number)(cfg[key]) and cfg[key] > 0):
+            v.append(f"{key}: must be a positive {'integer' if integral else 'number'}, "
+                     f"got {cfg[key]!r}")
+    if "slope_target" in cfg and not _is_number(cfg["slope_target"]):
+        v.append(f"slope_target: must be a number, got {cfg['slope_target']!r}")
+    replicas = cfg.get("replicas")
+    if "replicas" in declared and (not _is_int(replicas) or replicas < 1):
+        v.append("replicas: Monte Carlo experiments need replicas >= 1")
+    elif name in ("clt-check", "init-cov") and replicas < NORMALITY_MIN_SAMPLES:
+        v.append(f"replicas: {name} needs replicas >= {NORMALITY_MIN_SAMPLES} "
+                 "for its normality diagnostics")
+    elif name == "concentration" and replicas < MGF_MIN_REPLICAS:
+        v.append(f"replicas: concentration needs replicas >= {MGF_MIN_REPLICAS} "
+                 "for its exponential-moment estimates")
+    if "d" not in declared:  # the remaining keys describe a lattice run
+        return v
     if not _is_int(cfg.get("d")) or cfg["d"] < 1:
         v.append("d: spatial dimension must be a positive integer")
     if not _is_int(cfg.get("k")) or cfg["k"] < 1:
@@ -252,32 +265,21 @@ def validate(cfg) -> list:
         v.append("times: observation times must be nonnegative")
     elif any(b <= a for a, b in zip(times, times[1:])):
         v.append("times: observation times must be strictly increasing")
-    elif name not in ("qv-check", "concentration") and len(times) > 1:
+    elif name != "qv-check" and len(times) > 1:
         v.append(f"times: {name} observes one time, the config lists {len(times)}")
     n_list = cfg.get("n_list")
     sides_ok = (isinstance(n_list, (list, tuple)) and bool(n_list)
                 and all(_is_int(n) and n >= 2 for n in n_list))
+    fits_rate = name in ("hydro-converge", "lln-rate")
     if not sides_ok:
         v.append("n_list: lattice sides must be a list of integers >= 2")
-    elif name in ("qv-check", "entropy-exact") + FLUCTUATION_EXPERIMENTS and len(n_list) > 1:
-        v.append(f"n_list: {name} runs one lattice size, the config lists {len(n_list)}")
-    elif name == "lln-rate" and len(n_list) < RATE_FIT_MIN_POINTS:
+    elif fits_rate and len(n_list) < RATE_FIT_MIN_POINTS:
         v.append(f"n_list: rate fit needs at least {RATE_FIT_MIN_POINTS} sizes")
-    elif name == "hydro-converge" and len(n_list) < 3:
-        v.append("n_list: convergence study needs at least 3 sizes")
+    elif not fits_rate and len(n_list) > 1:
+        v.append(f"n_list: {name} runs one lattice size, the config lists {len(n_list)}")
     k, state = cfg.get("k"), cfg.get("state")
-    if "state" in cfg and name in ("lln-rate",) + FLUCTUATION_EXPERIMENTS and _is_int(k):
-        if type(state) is not int or not 0 <= state <= k:
-            v.append(f"state: {name} takes one state in [0, {k}], got {state!r}")
-    replicas = cfg.get("replicas", 0)
-    if name in MC_EXPERIMENTS and (not _is_int(replicas) or replicas < 1):
-        v.append("replicas: Monte Carlo experiments need replicas >= 1")
-    elif name in FLUCTUATION_EXPERIMENTS and replicas < NORMALITY_MIN_SAMPLES:
-        v.append(f"replicas: {name} needs replicas >= {NORMALITY_MIN_SAMPLES} "
-                 "for its normality diagnostics")
-    elif name == "concentration" and replicas < MGF_MIN_REPLICAS:
-        v.append(f"replicas: concentration needs replicas >= {MGF_MIN_REPLICAS} "
-                 "for its exponential-moment estimates")
+    if "state" in cfg and _is_int(k) and (type(state) is not int or not 0 <= state <= k):
+        v.append(f"state: {name} takes one state in [0, {k}], got {state!r}")
     if "functions" in cfg:
         functions = cfg["functions"]
         if not isinstance(functions, list) or not functions:
@@ -297,28 +299,16 @@ def validate(cfg) -> list:
                         v.append(f"functions: {f!r} does not evaluate on the d={cfg['d']} "
                                  f"lattice of side {n}: {exc}")
                         break
-    if not _is_int(cfg.get("seed")) or cfg["seed"] < 0:
-        v.append(f"seed: master seed must be a nonnegative integer, got {cfg.get('seed')!r}")
-    workers = _env_int("GCP_HYDRO_WORKERS")
-    if workers is not None and not (_is_int(workers) and workers > 0):
-        v.append(f"workers: GCP_HYDRO_WORKERS must be a positive integer, got {workers!r}")
-    for key, integral in POSITIVE_KEYS:
-        if key in cfg and not ((_is_int if integral else _is_number)(cfg[key]) and cfg[key] > 0):
-            v.append(f"{key}: must be a positive {'integer' if integral else 'number'}, "
-                     f"got {cfg[key]!r}")
-    if "slope_target" in cfg and not _is_number(cfg["slope_target"]):
-        v.append(f"slope_target: must be a number, got {cfg['slope_target']!r}")
-    if name == "hydro-converge":
+    sides = list(n_list) if sides_ok else []
+    if "n_ref" in declared:
         n_ref = cfg.get("n_ref")
+        sides.append(n_ref)
         if not _is_int(n_ref) or n_ref < 2:
             v.append(f"n_ref: reference lattice side must be an integer >= 2, got {n_ref!r}")
         elif sides_ok and any(n_ref % n for n in n_list):
             v.append("n_ref: every study size must divide the reference size")
-    # a table fits one lattice only; concentration builds none
-    if (spec is not None and spec.table is not None and name != "concentration"
-            and _is_int(cfg.get("d"))):
-        sides = (list(n_list) if sides_ok else []) + (
-            [cfg.get("n_ref")] if name == "hydro-converge" else [])
+    # a table fits one lattice only
+    if spec is not None and spec.table is not None and _is_int(cfg.get("d")):
         sizes = sorted({n ** cfg["d"] for n in sides if _is_int(n)})
         if sizes and sizes != [spec.params["n_sites"]]:
             v.append(f"kernel: tabulated kernel has {spec.params['n_sites']} sites, "
@@ -441,11 +431,13 @@ def _run_lln_rate(cfg):
     t = cfg["times"][-1]
     fns = _functions(cfg)
     state = cfg["state"]
-    rows, slopes, counters = [], {}, []
+    rows, slopes, counters, solves = [], {}, [], []
     per_f_means = {f.name: [] for f in fns}
     for n in cfg["n_list"]:
-        (sq,), totals = _replica_tasks(cfg, _lln_batch, n, t, _density_at(cfg, n, t))
+        u_t, ode = _density_at(cfg, n, t)
+        (sq,), totals = _replica_tasks(cfg, _lln_batch, n, t, u_t)
         counters.append(totals)
+        solves.append(ode)
         for idx, f in enumerate(fns):
             mean = float(np.mean(sq[:, idx]))
             se = float(np.std(sq[:, idx], ddof=1) / np.sqrt(len(sq)))
@@ -459,7 +451,8 @@ def _run_lln_rate(cfg):
         slopes[fname] = {"slope": fit.slope, "se": fit.slope_se}
         passed = passed and abs(fit.slope - target) <= tol
     summary = {"slopes": slopes, "slope_target": target, "slope_tol": tol}
-    return passed, {"lln": ("lln", rows)}, summary, {"simulator": _sum_counters(counters)}
+    metrics = {"ode": _sum_counters(solves), "simulator": _sum_counters(counters)}
+    return passed, {"lln": ("lln", rows)}, summary, metrics
 
 
 def _run_fluctuations(cfg):
@@ -470,7 +463,7 @@ def _run_fluctuations(cfg):
     n = cfg["n_list"][0]
     t = cfg["times"][-1]
     marginals = _marginals(cfg)
-    predicted, u_t = _predicted_cov(cfg, n, t, marginals)
+    predicted, u_t, ode = _predicted_cov(cfg, n, t, marginals)
     (errors, x, counts, sigmas), counters = _replica_tasks(cfg, _fluctuation_batch, n, t, u_t)
     replicas = len(x)
     centered = [col - col.mean() for col in x.T]
@@ -504,22 +497,24 @@ def _run_fluctuations(cfg):
         cfg_rows = [(r, t, site, s) for r, sigma in enumerate(sigmas.tolist())
                     for site, s in enumerate(sigma)]
         payloads["clt_configs"] = (("replica", "t", "site", "state"), cfg_rows)
-    return variance_ok and shape_ok, payloads, summary, {"simulator": counters}
+    return variance_ok and shape_ok, payloads, summary, {"ode": ode, "simulator": counters}
 
 
 def _predicted_cov(cfg, n, t, marginals):
-    """The mild covariance of the marginals at t, and the density at t; the
-    system and its trajectory are freed on return, before the replicas run."""
+    """The mild covariance of the marginals at t, the density at t and the
+    solve's counts; the system and its trajectory are freed on return."""
     _, params, u0 = _system(cfg, n)
     traj = integrate(u0, params, t, cfg["h"])
+    ode = {"steps": len(traj.times) - 1, "renormalizations": traj.renormalizations}
     return predicted_cov_mild([terminal_datum(f, i, params.lattice, params.k)
-                               for f, i in marginals], t, traj, params), traj.final()
+                               for f, i in marginals], t, traj, params), traj.final(), ode
 
 
 def _density_at(cfg, n, t):
-    """The density at t on the lattice of side n, solved without its trajectory."""
+    """The density at t on side n, solved without its trajectory, and the solve's counts."""
     _, params, u0 = _system(cfg, n)
-    return final_density(u0, params, t, cfg["h"])[0]
+    u_t, steps, renorms = final_density(u0, params, t, cfg["h"])
+    return u_t, {"steps": steps, "renormalizations": renorms}
 
 
 def _run_qv_check(cfg):

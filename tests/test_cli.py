@@ -5,8 +5,8 @@ import pytest
 import yaml
 
 from gcp_hydro.cli import main
-from gcp_hydro.experiments import (DEFAULTS, HEADERS, ConfigError, load_config,
-                                   run, validate)
+from gcp_hydro.experiments import (_RUNNERS, DEFAULTS, HEADERS, ConfigError,
+                                   load_config, run, validate)
 from gcp_hydro.io_utils import CSV_CHUNK_ROWS, write_csv, write_json
 
 GOLDEN_HEADERS = {
@@ -130,18 +130,64 @@ def test_run_worker_count_invariance(tmp_path, monkeypatch):
             "init-cov": (["replicas=1400", "n_list=[128]", "times=[0.1]", "h=0.02"],
                          "cov.csv")}
     for experiment, (overrides, csv_name) in runs.items():
-        payloads, counters = [], []
+        payloads, counters, solves = [], [], []
         for workers in ("1", "2"):
             monkeypatch.setenv("GCP_HYDRO_WORKERS", workers)
             out = tmp_path / f"{experiment}-w{workers}"
             run(load_config(experiment, None, overrides), str(out))
             payloads.append((out / csv_name).read_bytes())
-            counters.append(json.loads((out / "run.json").read_text())["metrics"]["simulator"])
+            metrics = json.loads((out / "run.json").read_text())["metrics"]
+            counters.append(metrics["simulator"])
+            solves.append(metrics["ode"])
         assert payloads[0] == payloads[1]
         assert counters[0] == counters[1]
+        assert solves[0] == solves[1]
+        # lln-rate sums its three solves of 5 steps (t = 0.1, h = 0.02)
+        assert solves[0] == {"steps": 15 if experiment == "lln-rate" else 5,
+                             "renormalizations": 0}
         assert counters[0]["events"] > 0
         assert counters[0]["proposals"] >= counters[0]["events"]
         assert counters[0]["passive_proposals"] >= counters[0]["passive_accepted"]
+
+
+class _ReadRecorder(dict):
+    """A config that records which of its top-level keys a runner reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+
+@pytest.mark.parametrize("experiment, overrides", [
+    ("hydro-converge", ["n_list=[4, 8, 16]", "n_ref=32", "times=[0.1]", "h=0.05"]),
+    ("lln-rate", ["replicas=4", "n_list=[4, 8, 16]", "times=[0.1]", "h=0.05"]),
+    ("clt-check", ["replicas=500", "n_list=[8]", "times=[0.1]", "h=0.05"]),
+    ("qv-check", ["times=[0.0, 0.1]"]),
+    ("init-cov", ["replicas=500", "n_list=[8]"]),
+    ("entropy-exact", ["times=[0.1]"]),
+    ("concentration", ["replicas=10000", "matrix_size=4"]),
+])
+def test_every_default_key_is_read(monkeypatch, experiment, overrides):
+    # a default key no runner reads looks as if it shaped the run; run()
+    # echoes seed into run.json, so seed counts as read everywhere
+    monkeypatch.delenv("GCP_HYDRO_WORKERS", raising=False)
+    cfg = _ReadRecorder(load_config(experiment, None, overrides + ["workers=1"]))
+    assert validate(cfg) == []
+    cfg.read.clear()
+    _RUNNERS[experiment](cfg)
+    assert set(DEFAULTS[experiment]) - cfg.read - {"seed"} == set()
 
 
 def test_cli_main_exit_codes(tmp_path):
@@ -197,6 +243,11 @@ def test_cli_main_exit_codes(tmp_path):
     ("qv-check", "state=1", "state"),
     ("entropy-exact", "slope_target=-1.0", "slope_target"),
     ("hydro-converge", "dump_configs=true", "dump_configs"),
+    ("concentration", "d=2", "d"),
+    ("concentration", "kernel.name=cosine", "kernel"),
+    ("hydro-converge", "replicas=1", "replicas"),
+    ("qv-check", "replicas=1", "replicas"),
+    ("entropy-exact", "replicas=1", "replicas"),
 ])
 def test_unrunnable_sizes_are_config_errors(tmp_path, capsys, experiment, override, field):
     # each used to fail inside the run (traceback or nan rows) with exit 1,

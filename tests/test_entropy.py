@@ -47,6 +47,20 @@ def test_state_space_cap():
         StateSpace(TorusLattice(1, 21), 1)
 
 
+def test_law_stepping_and_functionals_never_build_the_digit_table():
+    # the (S, N) table is built on first read; entropy-exact never reads it
+    params = _params(n=8, k=2, kernel=KernelSpec.cosine(0.5))
+    space = StateSpace(params.lattice, params.k)
+    u0 = _random_field(params, np.random.default_rng(3))
+    op = MasterOperator(space, params)
+    for law, _ in law_steps(profile_law(u0, space), op, 0.05, 0.01):
+        relative_entropy(law, u0, space)
+        production_expectation(law, u0, op)
+        site_state_marginals(law, space)
+    assert "digits" not in vars(space)
+    assert space.digits.shape == (3 ** 8, 8) and "digits" in vars(space)
+
+
 def test_validate_law_clamps_and_checks():
     law = validate_law(np.array([0.5, 0.5, -1e-13]))
     assert law[2] == 0.0

@@ -54,7 +54,8 @@ def test_one_philox_round_per_vectorized_step(monkeypatch):
         return wrapper
     for name in calls:
         monkeypatch.setattr(Simulation, name, counted(name))
-    _, counters = _replica_tasks(cfg, _fluctuation_batch, n, t, _density_at(cfg, n, t))
+    u_t, _ = _density_at(cfg, n, t)
+    _, counters = _replica_tasks(cfg, _fluctuation_batch, n, t, u_t)
     assert counters["replicas"] == cfg["replicas"] and counters["events"] > 0
     assert calls["_draws"] > 0
     assert calls["_round_columns"] == calls["_draws"]
