@@ -13,12 +13,14 @@ A configuration's index is sum_x sigma_x (k+1)^x, so reshaping a law to
 operator finds its jump targets and reads its intensities through such
 views, without index arrays over the state space.  A view whose stride is
 small iterates in short runs, so sites below ``StateSpace.split`` are viewed
-in a rotated layout in which their digits vary slowest.  The intensity table
-holds each site's row at sigma_x < k only, the part the operator reads, and
-``apply`` reuses buffers allocated with the operator, so stepping the law
-allocates nothing per site.  Site marginals come from two passes: the row
-sums of the law and of its rotation, each viewed with a row per
-configuration of the sites that vary slowest.
+in a rotated layout in which their digits vary slowest.  A site's jump
+intensity is a sum over the other sites, so the operator stores it as two
+half-lattice tables of about sqrt(S) entries per site, one over the sites
+below the split and one over the rest, and adds them into a buffer where a
+site's flux is formed.  ``apply`` reuses buffers allocated with the
+operator, so stepping the law allocates nothing per site.  Site marginals
+come from two passes: the row sums of the law and of its rotation, each
+viewed with a row per configuration of the sites that vary slowest.
 """
 
 from __future__ import annotations
@@ -141,15 +143,21 @@ def profile_law(u: DensityField, space: StateSpace) -> np.ndarray:
 
 
 def relative_entropy(law, u: DensityField, space: StateSpace) -> float:
-    """sum law * log(law / mu) against the product measure of u, with 0 log 0 = 0."""
+    """sum law * log(law / mu) against the product measure of u, with 0 log 0 = 0.
+
+    The quotient, its log and the product are formed in place in mu's array
+    (in the compressed arrays when the law has zero-mass states).
+    """
     law = validate_law(law)
     mu = profile_law(u, space)
-    support = law > 0.0
-    if not support.all():
+    if law.min() <= 0.0:
+        support = law > 0.0
         law, mu = law[support], mu[support]
-    if np.any(mu <= 0.0):
+    if mu.min() <= 0.0:
         raise ValueError("law puts mass where the product measure vanishes")
-    return float(np.sum(law * np.log(law / mu)))
+    np.divide(law, mu, out=mu)
+    np.log(mu, out=mu)
+    return float(np.sum(np.multiply(law, mu, out=mu)))
 
 
 class MasterOperator:
@@ -159,9 +167,13 @@ class MasterOperator:
     top state k and at the kernel average of the active mask below it.  In
     the view of ``site_shape(x)`` each target is the source shifted by one
     along axis 1.  That average is the Kronecker sum over sites y of
-    (J[x, y] / N) 1{sigma_y = k}, the additive twin of ``profile_law``;
-    row x of ``intensity`` holds it only where it is read, at sigma_x < k, as
-    the ``(rows, k, C)`` block of the ``site_shape(x)`` view flattened.
+    (J[x, y] / N) 1{sigma_y = k}, the additive twin of ``profile_law``, so
+    it splits into a sum over the sites below ``StateSpace.split`` and one
+    over the sites from it on: row x of ``low`` holds the first, indexed by
+    the low digits, and row x of ``high`` the second, indexed by the high
+    digits, and intensity_x(sigma) = low[x, sigma mod L] + high[x, sigma // L]
+    with L = (k+1)^split.  No S-sized intensity is stored; ``_intensity``
+    writes the part a site reads into the flux buffer when it is needed.
 
     ``apply`` works in buffers allocated here once (``workspace``), and runs
     its site loop with the ufunc buffer size lowered to the shortest inner run
@@ -178,41 +190,55 @@ class MasterOperator:
         k = params.k
         J = params.kernel.matrix / n_sites
         top = np.arange(k + 1) == k
-        self.intensity = np.empty((n_sites, space.size // (k + 1) * k))
-        self.exit_rate = np.zeros(space.size)
+        self.low = np.zeros((n_sites, space._low))
+        self.high = np.zeros((n_sites, space.size // space._low))
         for x in range(n_sites):
-            row = J[x, 0] * top
-            for y in range(1, n_sites):
-                row = np.add.outer(J[x, y] * top, row).ravel()
-            shape = (-1, k + 1, space.strides[x])
-            view = self.exit_rate.reshape(shape)
-            view[:, :k] += row.reshape(shape)[:, :k]
-            view[:, k] += params.a
-            if x < space.split:
-                row = space.rotate(row)
-            self.intensity[x].reshape(self._below_top(x))[...] = \
-                row.reshape(space.site_shape(x))[:, :k]
+            for half, sites in ((self.low, range(space.split)),
+                                (self.high, range(space.split, n_sites))):
+                row = np.zeros(1)
+                for y in sites:
+                    row = np.add.outer(J[x, y] * top, row).ravel()
+                half[x] = row
         # rotated law, a * law in both layouts, the rotated sum, the flux
         self.workspace = tuple(np.empty(space.size) for _ in range(4)) + (
-            np.empty(self.intensity.shape[1]),)
+            np.empty(space.size // (k + 1) * k),)
         # the shortest inner run of a site view, as a multiple of 16 (NumPy's rule)
         self._bufsize = max(16, min(space.site_shape(x)[2] for x in range(n_sites)) // 16 * 16)
+        # summed in site order, like apply: the sites below split in the
+        # rotated layout, the rest in the law's own
+        self.exit_rate = np.empty(space.size)
+        rates = (self.workspace[3], self.exit_rate)
+        rates[0].fill(0.0)
+        for x in range(n_sites):
+            if x == space.split:
+                space.unrotate(rates[0], out=self.exit_rate)
+            view = rates[x >= space.split].reshape(space.site_shape(x))
+            view[:, :k] += self._intensity(x)
+            view[:, k] += params.a
 
     @property
     def operator_bytes(self) -> int:
-        """Bytes of the intensity table, the exit rates and the workspace."""
-        return sum(a.nbytes for a in (self.intensity, self.exit_rate) + self.workspace)
+        """Bytes of the two half tables, the exit rates and the workspace."""
+        return sum(a.nbytes for a in (self.low, self.high, self.exit_rate) + self.workspace)
 
-    def _below_top(self, x) -> tuple:
-        """Shape of the sigma_x < k block of the ``site_shape(x)`` view."""
-        return (-1, self.space.k, self.space.site_shape(x)[2])
+    def _intensity(self, x) -> np.ndarray:
+        """intensity_x on the sigma_x < k block of the ``site_shape(x)`` view,
+        written to the workspace's flux buffer: one broadcast add of the half
+        indexed by the digits that vary fastest in that view (the low half in
+        the law's layout, the high half in the rotated one) and the other."""
+        space, k = self.space, self.space.k
+        natural = x >= space.split
+        fast, slow = (self.low[x], self.high[x]) if natural else (self.high[x], self.low[x])
+        runs = space.site_shape(x)[2] // fast.size
+        out = self.workspace[-1].reshape(-1, k, runs, fast.size)
+        np.add(slow.reshape(-1, k + 1, runs)[:, :k, :, None], fast, out=out)
+        return out.reshape(-1, k, runs * fast.size)
 
     def _flux(self, x, src) -> np.ndarray:
         """intensity_x times src, a law in the ``site_shape(x)`` view, on its
-        sigma_x < k block, written to the workspace's flux buffer."""
-        below = self._below_top(x)
-        return np.multiply(self.intensity[x].reshape(below), src[:, :self.space.k],
-                           out=self.workspace[-1].reshape(below))
+        sigma_x < k block, in the workspace's flux buffer."""
+        flux = self._intensity(x)
+        return np.multiply(flux, src[:, :self.space.k], out=flux)
 
     def apply(self, law) -> np.ndarray:
         """The generator applied to law, as a new array; law must not be one
@@ -254,10 +280,12 @@ def law_steps(initial, op: MasterOperator, t_end, h):
     """RK4 on the forward equation, yielding (law, clamped mass) per grid time.
 
     Only the current law is kept, so a caller that evaluates each grid time
-    as it comes never holds the (T+1, S) trajectory.
+    as it comes never holds the (T+1, S) trajectory; the initial law is let
+    go once it is stepped, unless the caller keeps it.
     """
     times, h = _grid(t_end, h)
     law, clamped = _clamp_law(initial)
+    del initial
     yield law, clamped
     for _ in times[1:]:
         law, clamped = _clamp_law(rk4_step(lambda c, v: op.apply(v), law, h))
@@ -377,8 +405,8 @@ def production_expectation(law, u: DensityField, op: MasterOperator) -> float:
     With h_x(i) = g_x(i) - sum_j g_x(j) u_x(j) and c = (J/N) u^k the closed
     form is sum_x h_x(sigma_x) (intensity_x - c_x), so its expectation is
     sum_{x,i} h_x(i) (Q[x, i] - c_x P(sigma_x = i)) with
-    Q[x, i] = E[1{sigma_x = i} intensity_x].  Q[x, i < k] is read against the
-    operator's half table, in its workspace, and summed pairwise; since
+    Q[x, i] = E[1{sigma_x = i} intensity_x].  Q[x, i < k] is the operator's flux
+    of site x, formed in its workspace, summed pairwise; since
     E[intensity_x] = ((J/N) P(sigma = k))_x, Q[x, k] is that minus the sum
     of Q[x, i < k].
     """
@@ -471,7 +499,7 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h) ->
     clock = perf_counter()
     space = StateSpace(params.lattice, params.k)
     op = MasterOperator(space, params)
-    law0 = profile_law(u0, space)
+    laws = law_steps(profile_law(u0, space), op, t_end, h)
     walls["operator_build"] = perf_counter() - clock
     m = len(traj.times)
     if len(_grid(t_end, h)[0]) != m:
@@ -481,7 +509,7 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h) ->
     clamped = 0.0
     walls["law_stepping"] = walls["functionals"] = 0.0
     clock = perf_counter()
-    for i, (law, removed) in enumerate(law_steps(law0, op, t_end, h)):
+    for i, (law, removed) in enumerate(laws):
         mark = perf_counter()
         walls["law_stepping"] += mark - clock
         u_i = DensityField(params.lattice, params.k, traj.u[i])

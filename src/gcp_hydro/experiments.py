@@ -208,20 +208,22 @@ def validate(cfg) -> list:
         json.dumps(cfg, sort_keys=True)
     except (TypeError, ValueError) as exc:
         v.append(f"config: run.json cannot hold the config: {exc}")
-    # a key's rule applies where the experiment declares the key
-    declared = set(DEFAULTS[name]) | set(OPTIONAL_KEYS.get(name, ()))
-    for key in sorted(set(cfg) - declared - {"experiment", "workers"}, key=str):
+    # a key's rule applies where the experiment declares the key, and every
+    # experiment takes workers; any other key is reported as unread only
+    declared = set(DEFAULTS[name]) | set(OPTIONAL_KEYS.get(name, ())) | {"workers"}
+    for key in sorted(set(cfg) - declared - {"experiment"}, key=str):
         v.append(f"{key}: {name} reads no such key")
+    given = declared & set(cfg)
     if not _is_int(cfg.get("seed")) or cfg["seed"] < 0:
         v.append(f"seed: master seed must be a nonnegative integer, got {cfg.get('seed')!r}")
     workers = _env_int("GCP_HYDRO_WORKERS")
     if workers is not None and not (_is_int(workers) and workers > 0):
         v.append(f"workers: GCP_HYDRO_WORKERS must be a positive integer, got {workers!r}")
     for key, integral in POSITIVE_KEYS:
-        if key in cfg and not ((_is_int if integral else _is_number)(cfg[key]) and cfg[key] > 0):
+        if key in given and not ((_is_int if integral else _is_number)(cfg[key]) and cfg[key] > 0):
             v.append(f"{key}: must be a positive {'integer' if integral else 'number'}, "
                      f"got {cfg[key]!r}")
-    if "slope_target" in cfg and not _is_number(cfg["slope_target"]):
+    if "slope_target" in given and not _is_number(cfg["slope_target"]):
         v.append(f"slope_target: must be a number, got {cfg['slope_target']!r}")
     replicas = cfg.get("replicas")
     if "replicas" in declared and (not _is_int(replicas) or replicas < 1):
@@ -278,7 +280,7 @@ def validate(cfg) -> list:
     elif not fits_rate and len(n_list) > 1:
         v.append(f"n_list: {name} runs one lattice size, the config lists {len(n_list)}")
     k, state = cfg.get("k"), cfg.get("state")
-    if "state" in cfg and _is_int(k) and (type(state) is not int or not 0 <= state <= k):
+    if "state" in given and _is_int(k) and (type(state) is not int or not 0 <= state <= k):
         v.append(f"state: {name} takes one state in [0, {k}], got {state!r}")
     if "functions" in cfg:
         functions = cfg["functions"]

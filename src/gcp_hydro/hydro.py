@@ -150,12 +150,25 @@ def rk4_step(rate, y, h):
 
     c in {0, 1/2, 1} is the stage's fraction of the step, for a rate whose
     coefficients are known at those nodes only.  A negative h marches backward.
+
+    The rate must return a fresh array, which the step may overwrite; y is
+    left unchanged.  The step holds one accumulator and one stage buffer and
+    forms y + (h/6)(k1 + 2 k2 + 2 k3 + k4) with the textbook expression's
+    operations in its order, so its bytes are that expression's.
     """
-    k1 = rate(0.0, y)
-    k2 = rate(0.5, y + 0.5 * h * k1)
-    k3 = rate(0.5, y + 0.5 * h * k2)
-    k4 = rate(1.0, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    acc = rate(0.0, y)                              # k1
+    stage = np.multiply(acc, 0.5 * h)
+    stage += y
+    for scale in (0.5 * h, h):                      # k2, then k3
+        k = rate(0.5, stage)
+        np.multiply(k, scale, out=stage)
+        stage += y
+        k *= 2.0
+        acc += k
+    acc += rate(1.0, stage)                         # k4
+    acc *= h / 6.0
+    acc += y
+    return acc
 
 
 def density_steps(u0: DensityField, params: ModelParams, t_end, h):

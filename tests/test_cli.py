@@ -299,6 +299,21 @@ def test_entries_an_experiment_would_drop_are_config_errors(capsys, experiment, 
     assert f"config error: {field}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, override, field", [
+    ("clt-check", "tolerance=abc", "tolerance"),
+    ("entropy-exact", "slope_target=x", "slope_target"),
+    ("hydro-converge", "state=9", "state"),
+])
+def test_a_key_the_experiment_does_not_take_is_reported_once(capsys, experiment, override,
+                                                            field):
+    # the value rules run only where the experiment declares the key, so an
+    # unread key with a bad value gives one line, not an unread line and a
+    # value line
+    assert main([experiment, "--set", override, "--validate-only", "--out", "unused"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {field}: {experiment} reads no such key"]
+
+
 def test_entries_an_experiment_observes_are_valid():
     assert validate(load_config("init-cov", None, ["state=1"])) == []
     assert "state" not in load_config("init-cov")  # no state key: every state

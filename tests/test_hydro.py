@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gcp_hydro.entropy import LawTrajectory
+from gcp_hydro import entropy, hydro
+from gcp_hydro.entropy import LawTrajectory, MasterOperator, StateSpace, law_steps, profile_law
 from gcp_hydro.hydro import (DensityField, ModelParams,
                              backward_fp, build_A, build_M,
                              convergence_study, density_steps, drift, final_density,
@@ -110,6 +111,48 @@ def test_rk4_order_on_logistic():
     e1 = abs(integrate(u0, p, 1.0, h=0.04).final().u[0, 1] - ref)
     e2 = abs(integrate(u0, p, 1.0, h=0.02).final().u[0, 1] - ref)
     assert 10.0 < e1 / e2 < 22.0
+
+
+def _textbook_rk4(rate, y, h):
+    k1 = rate(0.0, y)
+    k2 = rate(0.5, y + 0.5 * h * k1)
+    k3 = rate(0.5, y + 0.5 * h * k2)
+    k4 = rate(1.0, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@pytest.mark.parametrize("flow", ["drift", "backward", "master"])
+def test_rk4_step_is_the_textbook_step_and_leaves_y_alone(flow, monkeypatch):
+    # rk4_step overwrites the arrays its rate returns and keeps one
+    # accumulator and one stage buffer; every step the three flows take must
+    # still be the textbook expression's bytes, with y untouched
+    step, steps = hydro.rk4_step, []
+
+    def checked(rate, y, h):
+        before = y.copy()
+        got = step(rate, y, h)
+        assert y.tobytes() == before.tobytes()
+        assert got.tobytes() == _textbook_rk4(rate, y, h).tobytes()
+        steps.append(h)
+        return got
+
+    monkeypatch.setattr(hydro, "rk4_step", checked)
+    monkeypatch.setattr(entropy, "rk4_step", checked)
+    p = _params(n=6, k=2, a=0.8, kernel=KernelSpec.cosine(0.6))
+    prof = InitialProfile.cosine_simplex([0.4, 0.35, 0.25], [0.1, -0.04, -0.06], 1)
+    u0 = profile_field(prof, p.lattice)
+    if flow == "drift":
+        integrate(u0, p, 0.1, h=0.02)
+    elif flow == "backward":
+        traj = integrate(u0, p, 0.1, h=0.02)
+        steps.clear()
+        backward_fp(np.random.default_rng(4).normal(size=(6, 3)), traj, p)
+        assert set(steps) == {-0.02}
+    else:
+        space = StateSpace(p.lattice, 2)
+        for _ in law_steps(profile_law(u0, space), MasterOperator(space, p), 0.1, 0.02):
+            pass
+    assert len(steps) == 5
 
 
 def test_mass_conservation_and_floor():
