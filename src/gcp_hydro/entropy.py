@@ -188,7 +188,7 @@ class MasterOperator:
         self.applies = 0
         n_sites = space.lattice.n_sites
         k = params.k
-        J = params.kernel.matrix / n_sites
+        J = self.J = params.kernel.matrix / n_sites   # production_expectation reads it too
         top = np.arange(k + 1) == k
         self.low = np.zeros((n_sites, space._low))
         self.high = np.zeros((n_sites, space.size // space._low))
@@ -419,7 +419,7 @@ def production_expectation(law, u: DensityField, op: MasterOperator) -> float:
     layouts = (space.rotate(law, out=op.workspace[0]), law)
     g = _g_table(u)
     h = g - np.sum(g * uu, axis=1)[:, None]
-    J = op.params.kernel.matrix / n_sites
+    J = op.J
     c = J @ uu[:, k]
     p = site_state_marginals(law, space, layouts[0])
     q = np.empty_like(uu)

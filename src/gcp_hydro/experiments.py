@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import itertools
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,8 +26,7 @@ from . import __version__
 from .concentration import (MGF_MIN_REPLICAS, centered_indicator,
                             check_hanson_wright, check_hoeffding,
                             check_psi2_additivity, check_quad, rademacher)
-from .entropy import (STATE_CAP, StateSpace, entropy_production_check,
-                      profile_law)
+from .entropy import StateSpace, entropy_production_check, profile_law
 from .fields import TestFunction, carre_du_champ, centered_field, fluctuation, lln_error
 from .gcp import SpinConfig, Simulation, block_lanes, replica_rng
 from .hydro import ModelParams, convergence_study, final_density, integrate, profile_field
@@ -105,15 +105,20 @@ DEFAULTS = {
     "concentration": {"replicas": 20000, "seed": 20260810, "matrix_size": 8},
 }
 
-# keys a config may hold beyond its experiment's defaults, besides
-# `experiment` and `workers`; any other key is a config error, since the run
-# would never read it
-OPTIONAL_KEYS = {
-    "hydro-converge": ("slope_target",),
-    "lln-rate": ("slope_target",),
-    "clt-check": ("dump_configs",),
-    "init-cov": ("dump_configs", "state"),
+# per runner: the most observation times, the fewest and most lattice sides,
+# the fewest replicas where it takes them, whether it enumerates its states,
+# and the keys it reads only where a config holds them.  Every experiment
+# takes `workers` too; any other key is a config error: the run never reads it.
+TAKES = {
+    "hydro-converge": (1, (RATE_FIT_MIN_POINTS, math.inf), 1, False, ("slope_target",)),
+    "lln-rate": (1, (RATE_FIT_MIN_POINTS, math.inf), 1, False, ("slope_target",)),
+    "clt-check": (1, (1, 1), NORMALITY_MIN_SAMPLES, False, ("dump_configs",)),
+    "qv-check": (math.inf, (1, 1), 1, True, ()),
+    "init-cov": (1, (1, 1), NORMALITY_MIN_SAMPLES, False, ("dump_configs", "state")),
+    "entropy-exact": (1, (1, 1), 1, True, ()),
+    "concentration": (1, (1, 1), MGF_MIN_REPLICAS, False, ()),
 }
+
 # step, thresholds and sizes that must be positive where a config has them:
 # (key, whether it must be an integer)
 POSITIVE_KEYS = (("h", False), ("slope_tol", False), ("skew_limit", False),
@@ -198,19 +203,35 @@ def _is_number(x):
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _built(v, key, build, where=""):
+    """build(), or None once its error is appended to v as a violation of key."""
+    try:
+        return build()
+    except Exception as exc:
+        v.append(f"{key}: {exc}{where}")
+
+
 def validate(cfg) -> list:
-    """All config violations at once, each naming the offending field."""
+    """All config violations at once, each naming the offending field.
+
+    Checked here: what no builder can state (JSON, booleans as integers,
+    unread keys, the environment, ``times`` order, ``state``, ``n_ref``
+    divisibility, the profile's k and margin) and the ``TAKES`` counts and
+    floors.  Every other rule is raised by its builder in a dry build of what
+    the runner builds at each lattice side; nothing is solved or simulated.
+    """
     v = []
     name = cfg.get("experiment")
     if name not in DEFAULTS:
         return [f"experiment: unknown experiment {name!r}"]
+    most_times, (fewest, most), floor, enumerates, optional = TAKES[name]
     try:  # run.json echoes the config, so it must be plain JSON
         json.dumps(cfg, sort_keys=True)
     except (TypeError, ValueError) as exc:
         v.append(f"config: run.json cannot hold the config: {exc}")
     # a key's rule applies where the experiment declares the key, and every
     # experiment takes workers; any other key is reported as unread only
-    declared = set(DEFAULTS[name]) | set(OPTIONAL_KEYS.get(name, ())) | {"workers"}
+    declared = set(DEFAULTS[name]) | set(optional) | {"workers"}
     for key in sorted(set(cfg) - declared - {"experiment"}, key=str):
         v.append(f"{key}: {name} reads no such key")
     given = declared & set(cfg)
@@ -226,99 +247,69 @@ def validate(cfg) -> list:
     if "slope_target" in given and not _is_number(cfg["slope_target"]):
         v.append(f"slope_target: must be a number, got {cfg['slope_target']!r}")
     replicas = cfg.get("replicas")
-    if "replicas" in declared and (not _is_int(replicas) or replicas < 1):
-        v.append("replicas: Monte Carlo experiments need replicas >= 1")
-    elif name in ("clt-check", "init-cov") and replicas < NORMALITY_MIN_SAMPLES:
-        v.append(f"replicas: {name} needs replicas >= {NORMALITY_MIN_SAMPLES} "
-                 "for its normality diagnostics")
-    elif name == "concentration" and replicas < MGF_MIN_REPLICAS:
-        v.append(f"replicas: concentration needs replicas >= {MGF_MIN_REPLICAS} "
-                 "for its exponential-moment estimates")
+    if "replicas" in declared and not (_is_int(replicas) and replicas >= floor):
+        v.append(f"replicas: {name} needs an integer >= {floor}, got {replicas!r}")
     if "d" not in declared:  # the remaining keys describe a lattice run
         return v
-    if not _is_int(cfg.get("d")) or cfg["d"] < 1:
+    d, k = cfg.get("d"), cfg.get("k")
+    d_ok, k_ok = _is_int(d) and d >= 1, _is_int(k) and k >= 1
+    if not d_ok:
         v.append("d: spatial dimension must be a positive integer")
-    if not _is_int(cfg.get("k")) or cfg["k"] < 1:
+    if not k_ok:
         v.append("k: threshold state must be an integer >= 1")
     if not _is_number(cfg.get("a")) or not cfg["a"] > 0:
         v.append("a: recovery rate must be > 0")
-    spec = None
-    try:
-        spec = KernelSpec.from_config(cfg.get("kernel", {}), d=cfg.get("d", 1))
-    except Exception as exc:
-        v.append(f"kernel: {exc}")
-    profile = None
-    try:
-        profile = InitialProfile.from_config(cfg.get("profile", {}))
-    except Exception as exc:
-        v.append(f"profile: {exc}")
+    spec = _built(v, "kernel", lambda: KernelSpec.from_config(cfg.get("kernel", {}),
+                                                              d=cfg.get("d", 1)))
+    profile = _built(v, "profile", lambda: InitialProfile.from_config(cfg.get("profile", {})))
     if profile is not None:
-        if profile.k != cfg.get("k"):
-            v.append(f"profile: profile has k={profile.k}, config has k={cfg.get('k')}")
+        if profile.k != k:
+            v.append(f"profile: profile has k={profile.k}, config has k={k}")
         if profile.interior_margin <= 0:
             v.append("profile: initial profile must stay strictly inside the "
                      "simplex (interior margin is 0)")
     times = cfg.get("times")
     if not isinstance(times, (list, tuple)) or not times:
         v.append("times: at least one observation time is required, as a list")
-    elif not all(_is_number(t) for t in times):
-        v.append("times: observation times must be numbers")
-    elif any(t < 0 for t in times):
-        v.append("times: observation times must be nonnegative")
+    elif not all(_is_number(t) and t >= 0 for t in times):
+        v.append("times: observation times must be nonnegative numbers")
     elif any(b <= a for a, b in zip(times, times[1:])):
         v.append("times: observation times must be strictly increasing")
-    elif name != "qv-check" and len(times) > 1:
-        v.append(f"times: {name} observes one time, the config lists {len(times)}")
+    elif len(times) > most_times:
+        v.append(f"times: {name} observes {most_times} time(s), the config lists {len(times)}")
     n_list = cfg.get("n_list")
     sides_ok = (isinstance(n_list, (list, tuple)) and bool(n_list)
                 and all(_is_int(n) and n >= 2 for n in n_list))
-    fits_rate = name in ("hydro-converge", "lln-rate")
     if not sides_ok:
         v.append("n_list: lattice sides must be a list of integers >= 2")
-    elif fits_rate and len(n_list) < RATE_FIT_MIN_POINTS:
-        v.append(f"n_list: rate fit needs at least {RATE_FIT_MIN_POINTS} sizes")
-    elif not fits_rate and len(n_list) > 1:
-        v.append(f"n_list: {name} runs one lattice size, the config lists {len(n_list)}")
-    k, state = cfg.get("k"), cfg.get("state")
-    if "state" in given and _is_int(k) and (type(state) is not int or not 0 <= state <= k):
+    elif not fewest <= len(n_list) <= most:
+        want = fewest if fewest == most else f"at least {fewest}"
+        v.append(f"n_list: {name} runs {want} lattice size(s), the config lists {len(n_list)}")
+    state = cfg.get("state")
+    if "state" in given and k_ok and (type(state) is not int or not 0 <= state <= k):
         v.append(f"state: {name} takes one state in [0, {k}], got {state!r}")
-    if "functions" in cfg:
-        functions = cfg["functions"]
-        if not isinstance(functions, list) or not functions:
-            v.append("functions: at least one test function is required, as a list")
-        else:  # each must evaluate on every lattice the run builds
-            sides = n_list if sides_ok and _is_int(cfg.get("d")) and cfg["d"] >= 1 else []
-            for f in functions:
-                try:
-                    fn = TestFunction.from_config(f)
-                except Exception as exc:
-                    v.append(f"functions: {exc}")
-                    continue
-                for n in sides:
-                    try:
-                        fn.values_on(TorusLattice(cfg["d"], n))
-                    except Exception as exc:
-                        v.append(f"functions: {f!r} does not evaluate on the d={cfg['d']} "
-                                 f"lattice of side {n}: {exc}")
-                        break
+    functions = cfg.get("functions", [])
+    if "functions" in cfg and (not isinstance(functions, list) or not functions):
+        v.append("functions: at least one test function is required, as a list")
+        functions = []
+    fns = [_built(v, "functions", lambda: TestFunction.from_config(f)) for f in functions]
     sides = list(n_list) if sides_ok else []
     if "n_ref" in declared:
         n_ref = cfg.get("n_ref")
-        sides.append(n_ref)
         if not _is_int(n_ref) or n_ref < 2:
             v.append(f"n_ref: reference lattice side must be an integer >= 2, got {n_ref!r}")
-        elif sides_ok and any(n_ref % n for n in n_list):
-            v.append("n_ref: every study size must divide the reference size")
-    # a table fits one lattice only
-    if spec is not None and spec.table is not None and _is_int(cfg.get("d")):
-        sizes = sorted({n ** cfg["d"] for n in sides if _is_int(n)})
-        if sizes and sizes != [spec.params["n_sites"]]:
-            v.append(f"kernel: tabulated kernel has {spec.params['n_sites']} sites, "
-                     f"the lattices have {sizes}")
-    if name in ("qv-check", "entropy-exact") and sides_ok and _is_int(k) and _is_int(cfg.get("d")):
-        states = (k + 1) ** (n_list[0] ** cfg["d"])
-        if states > STATE_CAP:
-            v.append(f"n_list: enumeration of {states} states exceeds the cap {STATE_CAP}")
+        else:
+            sides.append(n_ref)
+            if sides_ok and any(n_ref % n for n in n_list):
+                v.append("n_ref: every study size must divide the reference size")
+    # the dry build: at each side, what the runner builds there
+    builds = [("kernel", spec and (lambda lattice: discretize(spec, lattice))),
+              ("profile", profile and (lambda lattice: profile_field(profile, lattice))),
+              ("n_list", enumerates and k_ok and (lambda lattice: StateSpace(lattice, k)))]
+    for key, build in builds + [("functions", fn and fn.values_on) for fn in fns]:
+        for n in sides if build and d_ok else ():
+            if _built(v, key, lambda: build(TorusLattice(d, n)), f" (d={d}, n={n})") is None:
+                break
     return v
 
 
@@ -543,7 +534,8 @@ def _run_qv_check(cfg):
                     rows.append((t, f.name, i, j, enum, ref, diff))
     passed = worst <= cfg["tolerance"]
     summary = {"max_abs_diff": worst, "tolerance": cfg["tolerance"]}
-    return passed, {"qv": ("qv", rows)}, summary, {}
+    ode = {"steps": len(traj.times) - 1, "renormalizations": traj.renormalizations}
+    return passed, {"qv": ("qv", rows)}, summary, {"ode": ode}
 
 
 def _run_entropy_exact(cfg):

@@ -38,9 +38,13 @@ class TestFunction:
     def values_on(self, lattice: TorusLattice) -> np.ndarray:
         if self._values is not None:
             if len(self._values) != lattice.n_sites:
-                raise ValueError("tabulated test function does not match lattice size")
+                raise ValueError(f"tabulated test function has {len(self._values)} values and "
+                                 f"does not match lattice of {lattice.n_sites} sites")
             return self._values
-        return np.asarray(self._evaluate(lattice.positions()), dtype=float)
+        try:
+            return np.asarray(self._evaluate(lattice.positions()), dtype=float)
+        except ValueError as exc:  # a mode or center with more entries than d
+            raise ValueError(f"{self!r} does not evaluate: {exc}") from exc
 
     def norm_l2n(self, lattice: TorusLattice) -> float:
         """Discrete L2 norm: sqrt(n^-d sum_x f(x/n)^2)."""

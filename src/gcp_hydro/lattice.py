@@ -228,8 +228,8 @@ class DiscreteKernel:
         self.rank = n_sites
         if spec.table is not None:
             if spec.table.shape != (n_sites, n_sites):
-                raise ValueError("tabulated kernel shape does not match lattice "
-                                 f"({spec.table.shape} vs {n_sites} sites)")
+                raise ValueError(f"tabulated kernel has {spec.table.shape[0]} sites and "
+                                 f"does not match lattice of {n_sites} sites")
             m = spec.table.copy()
             np.fill_diagonal(m, 0.0)
             self._check_entries(m)
@@ -261,9 +261,9 @@ class DiscreteKernel:
     @staticmethod
     def _check_entries(m):
         if not np.all(np.isfinite(m)):
-            raise ValueError("kernel evaluation produced non-finite values")
+            raise ValueError("kernel has non-finite values on the lattice")
         if np.any(m < 0):
-            raise ValueError("kernel evaluation produced negative values")
+            raise ValueError("kernel has negative values on the lattice")
 
     @property
     def matrix(self) -> np.ndarray:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 import yaml
 
+from gcp_hydro import entropy, experiments
 from gcp_hydro.cli import main
-from gcp_hydro.experiments import (_RUNNERS, DEFAULTS, HEADERS, ConfigError,
+from gcp_hydro.experiments import (_RUNNERS, DEFAULTS, HEADERS, TAKES, ConfigError,
                                    load_config, run, validate)
 from gcp_hydro.io_utils import CSV_CHUNK_ROWS, write_csv, write_json
 
@@ -93,7 +94,8 @@ def test_run_qv_check_end_to_end(tmp_path):
     meta = json.loads((tmp_path / "run.json").read_text())
     assert meta["status"] == "pass"
     assert meta["schema_version"] == 2
-    assert meta["metrics"] == {}  # qv-check runs no simulator
+    # qv-check runs no simulator; its density solve is 50 steps (t = 0.5, h = 0.01)
+    assert meta["metrics"] == {"ode": {"steps": 50, "renormalizations": 0}}
     assert meta["seed"] == cfg["seed"]
     assert "config_sha256" in meta and len(meta["config_sha256"]) == 64
 
@@ -335,6 +337,44 @@ def test_tabulated_kernel_size_mismatch_is_config_error(tmp_path, capsys):
                                               f"kernel.path={table}", "kernel.n_sites=2",
                                               "n_list=[2]"])
     assert validate(cfg) == []
+    # a 4-site table with a negative or nan entry fits the lattice but is no
+    # kernel: it used to pass validation and end the run in a traceback
+    for entry in ("-1.0", "nan"):
+        table.write_text(f"0,1,{entry}\n1,0,1.0\n2,3,1.0\n")
+        kernel = ["--set", "kernel.name=tabulated", "--set", f"kernel.path={table}",
+                  "--set", "kernel.n_sites=4"]
+        for flags in (["--out", str(tmp_path / "e")],
+                      ["--validate-only", "--out", str(tmp_path / "e")]):
+            assert main(["entropy-exact"] + kernel + flags) == 2
+            assert "config error: kernel:" in capsys.readouterr().err
+            assert not (tmp_path / "e").exists()
+
+
+def test_a_profile_that_does_not_evaluate_is_config_error(capsys):
+    # a mode with more entries than d builds, then broke the run's first
+    # profile_field with a broadcast ValueError traceback
+    overrides = ["profile.name=cosine-simplex", "profile.base=[0.5, 0.5]",
+                 "profile.delta=[0.1, -0.1]", "profile.mode=[1, 2]"]
+    assert main(["entropy-exact", "--validate-only", "--out", "unused"]
+                + [arg for o in overrides for arg in ("--set", o)]) == 2
+    assert capsys.readouterr().err.startswith("config error: profile:")
+
+
+def test_validate_builds_but_never_solves_or_simulates(monkeypatch):
+    # the dry build stops short of the ODE and the replicas: each solver and
+    # sampler the runners call raises here, and every default config validates
+    def refuse(*args, **kwargs):
+        raise AssertionError("validate solved or simulated")
+    for name in ("integrate", "final_density", "convergence_study", "Simulation",
+                 "entropy_production_check"):
+        monkeypatch.setattr(experiments, name, refuse)
+    monkeypatch.setattr(entropy, "MasterOperator", refuse)
+    for name in DEFAULTS:
+        assert validate(load_config(name)) == []
+
+
+def test_takes_has_one_entry_per_experiment():
+    assert set(TAKES) == set(DEFAULTS)
 
 
 def test_cli_threshold_failure_exit_code(tmp_path):
