@@ -527,6 +527,6 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h) ->
                     "master_applies": op.applies, "operator_bytes": op.operator_bytes,
                     "clamped_mass": clamped,
                     "stage_s": {name: round(s, 6) for name, s in walls.items()}},
-        "ode": {"steps": m - 1, "renormalizations": traj.renormalizations},
+        "ode": traj.ode,
     }
     return EntropyReport(traj.times.copy(), entropy, rhs, fd, envelope, c, step, metrics)

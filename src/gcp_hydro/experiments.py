@@ -29,7 +29,8 @@ from .concentration import (MGF_MIN_REPLICAS, centered_indicator,
 from .entropy import StateSpace, entropy_production_check, profile_law
 from .fields import TestFunction, carre_du_champ, centered_field, fluctuation, lln_error
 from .gcp import SpinConfig, Simulation, block_lanes, replica_rng
-from .hydro import ModelParams, convergence_study, final_density, integrate, profile_field
+from .hydro import (ModelParams, combined_ode, convergence_study, final_density, integrate,
+                    profile_field)
 from .io_utils import config_hash, write_csv, write_json
 from .lattice import KernelSpec, TorusLattice, discretize
 from .profiles import InitialProfile
@@ -344,6 +345,11 @@ def _sum_counters(counters):
     return {key: sum(c[key] for c in counters) for key in counters[0]}
 
 
+def _kernel_metrics(engines):
+    """run.json's ``metrics.kernel``: the convolution engine of each lattice side."""
+    return {"engine": {str(n): e for n, e in sorted(engines.items())}}
+
+
 def _concat(parts):
     """Join tuples of per-block arrays field by field; a None field stays None."""
     return tuple(None if field[0] is None else np.concatenate(field) for field in zip(*parts))
@@ -415,8 +421,7 @@ def _run_hydro_converge(cfg):
     summary = {"slope": slope,
                "slope_se": table.fit.slope_se if table.fit else None,
                "slope_target": target, "slope_tol": tol}
-    metrics = {"ode": {"steps": table.steps, "renormalizations": table.renormalizations},
-               "kernel": {"engine": {str(n): e for n, e in sorted(table.engines.items())}}}
+    metrics = {"ode": table.ode, "kernel": _kernel_metrics(table.engines)}
     return passed, {"convergence": ("convergence", table.rows())}, summary, metrics
 
 
@@ -424,10 +429,10 @@ def _run_lln_rate(cfg):
     t = cfg["times"][-1]
     fns = _functions(cfg)
     state = cfg["state"]
-    rows, slopes, counters, solves = [], {}, [], []
+    rows, slopes, counters, solves, engines = [], {}, [], [], {}
     per_f_means = {f.name: [] for f in fns}
     for n in cfg["n_list"]:
-        u_t, ode = _density_at(cfg, n, t)
+        u_t, (ode, engines[n]) = _density_at(cfg, n, t)
         (sq,), totals = _replica_tasks(cfg, _lln_batch, n, t, u_t)
         counters.append(totals)
         solves.append(ode)
@@ -444,7 +449,8 @@ def _run_lln_rate(cfg):
         slopes[fname] = {"slope": fit.slope, "se": fit.slope_se}
         passed = passed and abs(fit.slope - target) <= tol
     summary = {"slopes": slopes, "slope_target": target, "slope_tol": tol}
-    metrics = {"ode": _sum_counters(solves), "simulator": _sum_counters(counters)}
+    metrics = {"ode": combined_ode(solves), "kernel": _kernel_metrics(engines),
+               "simulator": _sum_counters(counters)}
     return passed, {"lln": ("lln", rows)}, summary, metrics
 
 
@@ -456,7 +462,7 @@ def _run_fluctuations(cfg):
     n = cfg["n_list"][0]
     t = cfg["times"][-1]
     marginals = _marginals(cfg)
-    predicted, u_t, ode = _predicted_cov(cfg, n, t, marginals)
+    predicted, u_t, ode, engine = _predicted_cov(cfg, n, t, marginals)
     (errors, x, counts, sigmas), counters = _replica_tasks(cfg, _fluctuation_batch, n, t, u_t)
     replicas = len(x)
     centered = [col - col.mean() for col in x.T]
@@ -490,24 +496,27 @@ def _run_fluctuations(cfg):
         cfg_rows = [(r, t, site, s) for r, sigma in enumerate(sigmas.tolist())
                     for site, s in enumerate(sigma)]
         payloads["clt_configs"] = (("replica", "t", "site", "state"), cfg_rows)
-    return variance_ok and shape_ok, payloads, summary, {"ode": ode, "simulator": counters}
+    metrics = {"ode": ode, "kernel": _kernel_metrics({n: engine}), "simulator": counters}
+    return variance_ok and shape_ok, payloads, summary, metrics
 
 
 def _predicted_cov(cfg, n, t, marginals):
-    """The mild covariance of the marginals at t, the density at t and the
-    solve's counts; the system and its trajectory are freed on return."""
+    """The mild covariance of the marginals at t, the density at t, the
+    solve's counts and the kernel engine; the system and its trajectory are
+    freed on return."""
     _, params, u0 = _system(cfg, n)
     traj = integrate(u0, params, t, cfg["h"])
-    ode = {"steps": len(traj.times) - 1, "renormalizations": traj.renormalizations}
-    return predicted_cov_mild([terminal_datum(f, i, params.lattice, params.k)
-                               for f, i in marginals], t, traj, params), traj.final(), ode
+    cov = predicted_cov_mild([terminal_datum(f, i, params.lattice, params.k)
+                              for f, i in marginals], t, traj, params)
+    return cov, traj.final(), traj.ode, params.kernel.engine
 
 
 def _density_at(cfg, n, t):
-    """The density at t on side n, solved without its trajectory, and the solve's counts."""
+    """The density at t on side n, solved without its trajectory, and what
+    run.json reports of the solve: (its counts, the kernel engine)."""
     _, params, u0 = _system(cfg, n)
-    u_t, steps, renorms = final_density(u0, params, t, cfg["h"])
-    return u_t, {"steps": steps, "renormalizations": renorms}
+    u_t, ode = final_density(u0, params, t, cfg["h"])
+    return u_t, (ode, params.kernel.engine)
 
 
 def _run_qv_check(cfg):
@@ -534,8 +543,8 @@ def _run_qv_check(cfg):
                     rows.append((t, f.name, i, j, enum, ref, diff))
     passed = worst <= cfg["tolerance"]
     summary = {"max_abs_diff": worst, "tolerance": cfg["tolerance"]}
-    ode = {"steps": len(traj.times) - 1, "renormalizations": traj.renormalizations}
-    return passed, {"qv": ("qv", rows)}, summary, {"ode": ode}
+    metrics = {"ode": traj.ode, "kernel": _kernel_metrics({n: params.kernel.engine})}
+    return passed, {"qv": ("qv", rows)}, summary, metrics
 
 
 def _run_entropy_exact(cfg):
@@ -551,7 +560,8 @@ def _run_entropy_exact(cfg):
                "min_inequality_margin": float(np.min(report.inequality_margin())),
                "inequality_holds": report.inequality_holds(),
                "under_envelope": report.under_envelope()}
-    return passed, {"entropy": ("entropy", report.rows())}, summary, report.metrics
+    metrics = dict(report.metrics, kernel=_kernel_metrics({n: params.kernel.engine}))
+    return passed, {"entropy": ("entropy", report.rows())}, summary, metrics
 
 
 def _run_concentration(cfg):

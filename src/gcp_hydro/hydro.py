@@ -11,10 +11,20 @@ flow used to predict fluctuation variances and a discretization-convergence
 study against a fine-lattice reference run.  The forward solve is a generator,
 ``density_steps``; ``integrate`` collects its states for the callers that
 read every grid time, and ``final_density`` keeps only the last.
+
+Both flows compute state-major.  A density is (N, k+1), so in C order its
+fast axis has k+1 entries and every per-state operation would run k+1
+elements at a time; ``drift`` and ``backward_drift`` work instead on the
+(k+1, N) rows V = u.T, each contiguous, and return the transpose of what
+they compute.  ``density_steps`` and ``backward_fp`` keep their states in
+that layout (Fortran order as (N, k+1)), so the RK4 step, the checks and
+the renormalization run over contiguous rows too.  The layout stays inside
+this module: ``Trajectory.u`` and ``final_density``'s field are C-ordered.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,10 +112,16 @@ class Trajectory:
     times: np.ndarray        # (T+1,)
     u: np.ndarray            # (T+1, N, k+1)
     renormalizations: int = 0
+    min_component: float = math.inf  # the least component over the solve
 
     @property
     def step(self) -> float:
         return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
+
+    @property
+    def ode(self) -> dict:
+        """The solve's counts, as run.json's ``metrics.ode``."""
+        return _ode(len(self.times) - 1, self.renormalizations, self.min_component)
 
     def field_at(self, t) -> DensityField:
         return DensityField(self.lattice, self.k, self.u[grid_index(self.times, t)])
@@ -115,14 +131,44 @@ class Trajectory:
         return DensityField(self.lattice, self.k, self.u[-1].copy())
 
 
+def _rows(u) -> np.ndarray:
+    """The state-major rows u.T, (k+1, N) and C-contiguous, of a density-shaped
+    array or field: a view of a state in the solvers' layout, a copy of any other."""
+    return np.ascontiguousarray(np.asarray(u.u if isinstance(u, DensityField) else u,
+                                           dtype=float).T)
+
+
 def drift(u, params: ModelParams) -> np.ndarray:
-    """Right-hand side A u_x + (J^n * u^k)_x M u_x, per site."""
-    U = u.u if isinstance(u, DensityField) else np.asarray(u, dtype=float)
-    conv = params.kernel.conv(U[:, params.k])
-    out = U @ params.A.T + conv[:, None] * (U @ params.M.T)
+    """Right-hand side A u_x + (J^n * u^k)_x M u_x, per site, as (N, k+1).
+
+    Computed on the rows V = u.T as M V scaled by conv(V[k]), plus A V; the
+    result is the transpose of those rows, so its bytes do not depend on the
+    layout of u.
+    """
+    V = _rows(u)
+    out = params.M @ V
+    out *= params.kernel.conv(V[params.k])
+    out += params.A @ V
     if not np.all(np.isfinite(out)):
         raise ValueError("drift produced non-finite values")
-    return out
+    return out.T
+
+
+def backward_drift(g, u, params: ModelParams) -> np.ndarray:
+    """Right-hand side of the adjoint flow at the forward state u, per site:
+
+        ds g = -(A* g + (J^n * u^k) M* g + (J^n* * <g, M u>) e_k),
+
+    as (N, k+1), computed on the rows of g and u like ``drift``.
+    """
+    G, V = _rows(g), _rows(u)
+    kern, k = params.kernel, params.k
+    out = params.M.T @ G
+    out *= kern.conv(V[k])
+    out += params.A.T @ G
+    out[k] += kern.conv_adjoint(np.sum(G * (params.M @ V), axis=0))
+    np.negative(out, out=out)
+    return out.T
 
 
 def _grid(t_end, h):
@@ -173,61 +219,79 @@ def rk4_step(rate, y, h):
 
 def density_steps(u0: DensityField, params: ModelParams, t_end, h):
     """Classical fixed-step RK4 for the density system on {0, h, ..., t_end},
-    yielding (u, renormalized) per grid time, u0 first.
+    yielding (u, renormalized, min_component) per grid time, u0 first.
 
     Per-site mass is monitored each step; deviations beyond the tolerance are
     renormalized and flagged rather than silently absorbed.  Negative
-    components beyond the tolerance abort with a step-size failure.  Only
-    the current state is kept, so a caller that reads each grid time as it
-    comes, or only the last, never holds the (T+1, N, k+1) trajectory.
+    components beyond the tolerance abort with a step-size failure; the
+    least component, as the positivity check saw it, is yielded with the
+    state.  Only the current state is kept, so a caller that reads each grid
+    time as it comes, or only the last, never holds the (T+1, N, k+1)
+    trajectory.  Each u is (N, k+1) in Fortran order, the solver's layout
+    (see the module docstring); the caller copies what it keeps.
     """
     u0.validate()
     if u0.k != params.k or u0.lattice != params.lattice:
         raise ValueError("initial field does not match model parameters")
     times, h = _grid(t_end, h)
-    u = u0.u.copy()
-    yield u, False
+    u = u0.u.copy(order="F")
+    yield u, False, float(np.min(u))
     for m in range(1, len(times)):
         u = rk4_step(lambda c, v: drift(v, params), u, h)
         if not np.all(np.isfinite(u)):
             raise ValueError(f"non-finite state at step {m}; reduce h")
-        if np.min(u) < -MASS_TOL:
+        low = float(np.min(u))
+        if low < -MASS_TOL:
             raise ValueError(f"positivity floor violated at step {m} "
-                             f"(min component {np.min(u):.3e}); reduce h")
+                             f"(min component {low:.3e}); reduce h")
         sums = u.sum(axis=1)
         renormalized = bool(np.max(np.abs(sums - 1.0)) > MASS_TOL)
         if renormalized:
-            u = u / sums[:, None]
-        yield u, renormalized
+            u /= sums[:, None]
+        yield u, renormalized, low
+
+
+def _ode(steps, renormalizations, min_component) -> dict:
+    return {"steps": steps, "renormalizations": renormalizations,
+            "min_component": min_component}
+
+
+def combined_ode(odes) -> dict:
+    """Several solves' counts as one: steps and renormalizations add up, and
+    the least component is the least of theirs."""
+    return _ode(sum(o["steps"] for o in odes), sum(o["renormalizations"] for o in odes),
+                min(o["min_component"] for o in odes))
 
 
 def integrate(u0: DensityField, params: ModelParams, t_end, h) -> Trajectory:
     """Every grid state of ``density_steps``, for callers that read them all."""
     times = _grid(t_end, h)[0]
     out = np.empty(times.shape + u0.u.shape)
-    renorms = 0
-    for m, (u, renormalized) in enumerate(density_steps(u0, params, t_end, h)):
+    renorms, low = 0, math.inf
+    for m, (u, renormalized, u_min) in enumerate(density_steps(u0, params, t_end, h)):
         out[m] = u
         renorms += renormalized
-    return Trajectory(u0.lattice, u0.k, times, out, renormalizations=renorms)
+        low = min(low, u_min)
+    return Trajectory(u0.lattice, u0.k, times, out, renorms, low)
 
 
 def final_density(u0: DensityField, params: ModelParams, t_end, h):
-    """(u_t_end, steps, renormalizations): the last state of ``density_steps``
-    with the solve's counts, holding one grid state at a time."""
-    renorms = 0
-    for steps, (u, renormalized) in enumerate(density_steps(u0, params, t_end, h)):
+    """(u_t_end, ode): the last state of ``density_steps`` and the solve's
+    counts as ``Trajectory.ode`` gives them, holding one grid state at a time."""
+    renorms, low = 0, math.inf
+    for steps, (u, renormalized, u_min) in enumerate(density_steps(u0, params, t_end, h)):
         renorms += renormalized
-    return DensityField(u0.lattice, u0.k, u), steps, renorms
+        low = min(low, u_min)
+    return DensityField(u0.lattice, u0.k, np.ascontiguousarray(u)), _ode(steps, renorms, low)
 
 
 def _lattice_run(profile, spec: KernelSpec, a, k, t_end, n, d, h):
     """The profile solved to t_end on the lattice of side n:
-    (kernel engine, u_t_end, steps, renormalizations)."""
+    (kernel engine, u_t_end, the solve's counts)."""
     lattice = TorusLattice(d, n)
     params = ModelParams(a, k, discretize(spec, lattice))
-    u, steps, renorms = final_density(profile_field(profile, lattice), params, t_end, h=h)
-    return params.kernel.engine, u, steps, renorms
+    u, ode = final_density(profile_field(profile, lattice), params, t_end, h=h)
+    return params.kernel.engine, u, ode
 
 
 def restrict(fine: DensityField, coarse: TorusLattice) -> DensityField:
@@ -247,9 +311,8 @@ class ConvergenceTable:
     sizes: list
     errors: list
     fit: object  # stats.RateFit, or None when errors sit at the noise floor
-    steps: int             # RK4 steps, summed over the reference and study lattices
-    renormalizations: int  # renormalized steps, summed likewise
-    engines: dict          # lattice side -> DiscreteKernel.engine
+    ode: dict      # the solves' counts, combined over the reference and study lattices
+    engines: dict  # lattice side -> DiscreteKernel.engine
 
     def rows(self):
         return list(zip(self.sizes, self.errors))
@@ -264,17 +327,17 @@ def convergence_study(n_list, spec: KernelSpec, profile, a, k, t_end,
     for n in n_list:
         if n_ref % n != 0:
             raise ValueError(f"study size n={n} must divide the reference size {n_ref}")
-    engine, ref, steps, renorms = _lattice_run(profile, spec, a, k, t_end, n_ref, d, h)
-    engines, errors = {n_ref: engine}, []
+    engine, ref, ode = _lattice_run(profile, spec, a, k, t_end, n_ref, d, h)
+    engines, errors, odes = {n_ref: engine}, [], [ode]
     for n in n_list:
-        engines[n], final, m, r = _lattice_run(profile, spec, a, k, t_end, n, d, h)
-        steps, renorms = steps + m, renorms + r
+        engines[n], final, ode = _lattice_run(profile, spec, a, k, t_end, n, d, h)
+        odes.append(ode)
         errors.append(float(np.max(np.abs(final.u - restrict(ref, final.lattice).u))))
     fit = None
     if min(errors) > ERROR_FLOOR:
         from .stats import rate_fit
         fit = rate_fit(list(zip(n_list, errors)))
-    return ConvergenceTable(list(n_list), errors, fit, steps, renorms, engines)
+    return ConvergenceTable(list(n_list), errors, fit, combined_ode(odes), engines)
 
 
 @dataclass
@@ -292,10 +355,11 @@ def backward_fp(f_terminal, u_traj: Trajectory, params: ModelParams) -> Backward
 
         ds g + A* g + (J^n * u^k_s) M* g + (J^n* * <g, M u_s>) e_k = 0
 
-    Each step is ``rk4_step`` on -h from s_{m+1} to s_m, with the forward
-    states at its nodes: u_{m+1} at the start, u_m at the end, and at the
-    midpoint the cubic Hermite interpolant of the trajectory, which keeps the
-    march fourth order.
+    Each step is ``rk4_step`` on -h from s_{m+1} to s_m of ``backward_drift``,
+    with the forward states at its nodes: u_{m+1} at the start, u_m at the
+    end, and at the midpoint the cubic Hermite interpolant of the trajectory,
+    which keeps the march fourth order.  The states and g are held in the
+    solvers' layout; ``g`` is returned C-ordered.
     """
     f = np.asarray(f_terminal, dtype=float)
     if f.shape != u_traj.u.shape[1:]:
@@ -304,23 +368,18 @@ def backward_fp(f_terminal, u_traj: Trajectory, params: ModelParams) -> Backward
     if not np.all(np.isfinite(f)):
         raise ValueError("terminal field has non-finite entries")
     h = u_traj.step
-    A, M, kern, k = params.A, params.M, params.kernel, params.k
-
-    def rhs(u_nodes, g):
-        # ds g = -(A* g + conv(u^k) M* g + conv_adjoint(<g, M u>) e_k)
-        conv = kern.conv(u_nodes[:, k])
-        inner = np.sum(g * (u_nodes @ M.T), axis=1)
-        out = g @ A + conv[:, None] * (g @ M)
-        out[:, k] += kern.conv_adjoint(inner)
-        return -out
-
-    du = np.array([drift(u, params) for u in u_traj.u])
+    # the states as density_steps holds them: each one's rows contiguous
+    us = np.ascontiguousarray(u_traj.u.transpose(0, 2, 1)).transpose(0, 2, 1)
+    du = np.empty_like(us)
+    for m, u in enumerate(us):
+        du[m] = drift(u, params)
     out = np.empty(u_traj.u.shape)
-    out[-1] = g = f
+    out[-1] = f
+    g = f.copy(order="F")
     for m in range(len(out) - 2, -1, -1):
-        u0, u1 = u_traj.u[m], u_traj.u[m + 1]
+        u0, u1 = us[m], us[m + 1]
         umid = 0.5 * (u0 + u1) + (h / 8.0) * (du[m] - du[m + 1])
         nodes = {0.0: u1, 0.5: umid, 1.0: u0}
-        g = rk4_step(lambda c, v: rhs(nodes[c], v), g, -h)
+        g = rk4_step(lambda c, v: backward_drift(v, nodes[c], params), g, -h)
         out[m] = g
     return BackwardTestField(u_traj.lattice, u_traj.k, u_traj.times.copy(), out)

@@ -304,7 +304,9 @@ class DiscreteKernel:
         return np.einsum("ij,ij->i", self._p[xs], sums[rows])
 
     def _apply(self, g, adjoint):
-        g = np.asarray(g, dtype=float)
+        # contiguous, so the result's bytes are a function of g's values: a
+        # BLAS product sums in an order that depends on its operand's strides
+        g = np.ascontiguousarray(g, dtype=float)
         n_sites = self.lattice.n_sites
         if g.shape[-1] != n_sites:
             raise ValueError(f"field has {g.shape[-1]} entries, lattice has {n_sites} sites")

@@ -7,7 +7,8 @@ import yaml
 from gcp_hydro import entropy, experiments
 from gcp_hydro.cli import main
 from gcp_hydro.experiments import (_RUNNERS, DEFAULTS, HEADERS, TAKES, ConfigError,
-                                   load_config, run, validate)
+                                   _system, load_config, run, validate)
+from gcp_hydro.hydro import integrate
 from gcp_hydro.io_utils import CSV_CHUNK_ROWS, write_csv, write_json
 
 GOLDEN_HEADERS = {
@@ -19,6 +20,13 @@ GOLDEN_HEADERS = {
     "entropy": "t,entropy,production_rhs,envelope",
     "concentration": "check,parameter,empirical,bound,slack,passed",
 }
+
+
+def _least_component(cfg, sides):
+    """The least density component over the solves to times[-1] on each side,
+    read from the trajectories themselves."""
+    return min(float(integrate(u0, params, cfg["times"][-1], cfg["h"]).u.min())
+               for _, params, u0 in (_system(cfg, n) for n in sides))
 
 
 def test_headers_are_pinned():
@@ -94,8 +102,12 @@ def test_run_qv_check_end_to_end(tmp_path):
     meta = json.loads((tmp_path / "run.json").read_text())
     assert meta["status"] == "pass"
     assert meta["schema_version"] == 2
-    # qv-check runs no simulator; its density solve is 50 steps (t = 0.5, h = 0.01)
-    assert meta["metrics"] == {"ode": {"steps": 50, "renormalizations": 0}}
+    # qv-check runs no simulator; its density solve is 50 steps (t = 0.5, h = 0.01),
+    # and the constant kernel convolves through its factors
+    assert meta["metrics"] == {
+        "ode": {"steps": 50, "renormalizations": 0,
+                "min_component": _least_component(cfg, [4])},
+        "kernel": {"engine": {"4": "factors"}}}
     assert meta["seed"] == cfg["seed"]
     assert "config_sha256" in meta and len(meta["config_sha256"]) == 64
 
@@ -132,7 +144,7 @@ def test_run_worker_count_invariance(tmp_path, monkeypatch):
             "init-cov": (["replicas=1400", "n_list=[128]", "times=[0.1]", "h=0.02"],
                          "cov.csv")}
     for experiment, (overrides, csv_name) in runs.items():
-        payloads, counters, solves = [], [], []
+        payloads, counters, solves, kernels = [], [], [], []
         for workers in ("1", "2"):
             monkeypatch.setenv("GCP_HYDRO_WORKERS", workers)
             out = tmp_path / f"{experiment}-w{workers}"
@@ -141,12 +153,18 @@ def test_run_worker_count_invariance(tmp_path, monkeypatch):
             metrics = json.loads((out / "run.json").read_text())["metrics"]
             counters.append(metrics["simulator"])
             solves.append(metrics["ode"])
+            kernels.append(metrics["kernel"])
         assert payloads[0] == payloads[1]
         assert counters[0] == counters[1]
         assert solves[0] == solves[1]
-        # lln-rate sums its three solves of 5 steps (t = 0.1, h = 0.02)
-        assert solves[0] == {"steps": 15 if experiment == "lln-rate" else 5,
-                             "renormalizations": 0}
+        assert kernels[0] == kernels[1]
+        # lln-rate sums its three solves of 5 steps (t = 0.1, h = 0.02) and
+        # takes the least component over them, not the sum
+        sides = [128, 256, 512] if experiment == "lln-rate" else [128]
+        cfg = load_config(experiment, None, overrides)
+        assert solves[0] == {"steps": 5 * len(sides), "renormalizations": 0,
+                             "min_component": _least_component(cfg, sides)}
+        assert kernels[0] == {"engine": {str(n): "factors" for n in sides}}
         assert counters[0]["events"] > 0
         assert counters[0]["proposals"] >= counters[0]["events"]
         assert counters[0]["passive_proposals"] >= counters[0]["passive_accepted"]
@@ -440,7 +458,10 @@ def test_entropy_exact_reports_engine_and_ode_counts(tmp_path):
     assert set(entropy["stage_s"]) == {"density_solve", "operator_build",
                                        "law_stepping", "functionals"}
     assert all(s >= 0.0 for s in entropy["stage_s"].values())
-    assert ode == {"steps": 10, "renormalizations": 0}
+    cfg = load_config("entropy-exact", None, ["n_list=[4]", "times=[0.1]", "h=0.01"])
+    assert ode == {"steps": 10, "renormalizations": 0,
+                   "min_component": _least_component(cfg, [4])}
+    assert meta["metrics"]["kernel"] == {"engine": {"4": "factors"}}
 
 
 @pytest.mark.parametrize("kernel, sides, engines", [
@@ -452,12 +473,15 @@ def test_hydro_converge_reports_engines_and_ode_counts(kernel, sides, engines, t
     # gaussian one by FFT; the steps are summed over the reference and the
     # three study lattices
     *n_list, n_ref = sides
-    main(["hydro-converge", "--set", "d=2", "--set", f"kernel={{name: {kernel}}}",
-          "--set", f"n_list={n_list}", "--set", f"n_ref={n_ref}",
-          "--set", "times=[0.2]", "--set", "h=0.05", "--out", str(tmp_path / "h")])
+    overrides = ["d=2", f"kernel={{name: {kernel}}}", f"n_list={n_list}", f"n_ref={n_ref}",
+                 "times=[0.2]", "h=0.05"]
+    main(["hydro-converge", *(arg for o in overrides for arg in ("--set", o)),
+          "--out", str(tmp_path / "h")])
     meta = json.loads((tmp_path / "h" / "run.json").read_text())
     assert meta["metrics"]["kernel"]["engine"] == {str(n): e for n, e in zip(sides, engines)}
-    assert meta["metrics"]["ode"] == {"steps": 4 * 4, "renormalizations": 0}
+    cfg = load_config("hydro-converge", None, overrides)
+    assert meta["metrics"]["ode"] == {"steps": 4 * 4, "renormalizations": 0,
+                                      "min_component": _least_component(cfg, sides)}
 
 
 def test_write_json_encodes_numpy_scalars_and_rejects_the_rest(tmp_path):

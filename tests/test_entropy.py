@@ -331,7 +331,7 @@ ENTROPY_PINNED = {
     "k1": (["k=1", "n_list=[10]", "times=[0.3]", "h=0.01", _COSINE,
             'profile={"name": "cosine-simplex", "base": [0.5, 0.5], '
             '"delta": [0.2, -0.2], "mode": 1}'],
-           "abda00c742b7b1ce83cfeff5166fe2ced4874131d2f629becf8e5023e27280dd"),
+           "a8dae5e40e52fb6beb9e137ab71555727709f824d9bb4c364a1f8ff1c0a32f21"),
     "k2": (["k=2", "n_list=[6]", "times=[0.3]", "h=0.01", _COSINE,
             'profile={"name": "cosine-simplex", "base": [0.3, 0.3, 0.4], '
             '"delta": [0.1, 0.0, -0.1], "mode": 1}'],

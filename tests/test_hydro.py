@@ -7,7 +7,7 @@ import pytest
 from gcp_hydro import entropy, hydro
 from gcp_hydro.entropy import LawTrajectory, MasterOperator, StateSpace, law_steps, profile_law
 from gcp_hydro.hydro import (DensityField, ModelParams,
-                             backward_fp, build_A, build_M,
+                             backward_drift, backward_fp, build_A, build_M,
                              convergence_study, density_steps, drift, final_density,
                              integrate, profile_field, restrict)
 from gcp_hydro.lattice import DiscreteKernel, KernelSpec, TorusLattice, discretize
@@ -62,6 +62,41 @@ def test_drift_translation_invariant_for_uniform_data():
     u = _uniform_field(p, [0.2, 0.3, 0.5])
     out = drift(u, p)
     assert np.max(np.abs(out - out[0])) < 1e-14
+
+
+def _per_site_drift(u, p):
+    conv = p.kernel.conv(u[:, p.k].copy())
+    return np.array([p.A @ ux + conv[x] * (p.M @ ux) for x, ux in enumerate(u)])
+
+
+def _per_site_backward_drift(g, u, p):
+    conv = p.kernel.conv(u[:, p.k].copy())
+    adj = p.kernel.conv_adjoint(np.array([gx @ (p.M @ ux) for gx, ux in zip(g, u)]))
+    top = np.eye(p.k + 1)[p.k]
+    return np.array([-(p.A.T @ gx + conv[x] * (p.M.T @ gx) + adj[x] * top)
+                     for x, gx in enumerate(g)])
+
+
+@pytest.mark.parametrize("kernel", ["constant", "cosine", "gaussian"])
+@pytest.mark.parametrize("d, n", [(1, 12), (2, 6)])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_both_drifts_match_their_per_site_forms_in_either_layout(kernel, d, n, k):
+    # the state-major rows must give the per-site algebra, and the same bytes
+    # for a C-ordered and a Fortran-ordered copy of one field
+    spec = KernelSpec.from_config({"name": kernel}, d=d)
+    p = _params(n=n, k=k, a=1.3, kernel=spec, d=d)
+    rng = np.random.default_rng(k * n + d)
+    u = rng.uniform(0.05, 1.0, (n ** d, k + 1))
+    u /= u.sum(axis=1, keepdims=True)
+    g = rng.normal(size=u.shape)
+    cases = [(drift, (u,), _per_site_drift(u, p)),
+             (backward_drift, (g, u), _per_site_backward_drift(g, u, p))]
+    for rhs, fields, ref in cases:
+        outs = [rhs(*(np.asarray(f, order=order) for f in fields), p) for order in "CF"]
+        assert outs[0].shape == outs[1].shape == u.shape
+        assert np.max(np.abs(outs[0] - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert (np.ascontiguousarray(outs[0]).tobytes()
+                == np.ascontiguousarray(outs[1]).tobytes())
 
 
 def test_integrate_exponential_decay():
@@ -376,14 +411,19 @@ def test_density_steps_yield_integrate_rows_bit_for_bit():
     traj = integrate(u0, p, 0.5, h=0.01)
     rows = list(density_steps(u0, p, 0.5, h=0.01))
     assert len(rows) == len(traj.times) == 51
-    flags = [renormalized for _, renormalized in rows]
+    flags = [renormalized for _, renormalized, _ in rows]
     assert not flags[0] and 0 < sum(flags) < 50
     assert sum(flags) == traj.renormalizations
-    for (u, _), v in zip(rows, traj.u):
+    for (u, _, _), v in zip(rows, traj.u):
         assert np.array_equal(u, v)
-    final, steps, renorms = final_density(u0, p, 0.5, h=0.01)
-    assert np.array_equal(final.u, traj.u[-1])
-    assert (steps, renorms) == (50, traj.renormalizations)
+    # the least component is the positivity check's, taken before a renormalization
+    assert min(low for _, _, low in rows) == traj.min_component
+    assert traj.min_component == pytest.approx(traj.u.min(), rel=1e-8)
+    final, ode = final_density(u0, p, 0.5, h=0.01)
+    assert np.array_equal(final.u, traj.u[-1]) and final.u.flags.c_contiguous
+    assert traj.u.flags.c_contiguous
+    assert ode == traj.ode == {"steps": 50, "renormalizations": traj.renormalizations,
+                               "min_component": traj.min_component}
 
 
 def test_convergence_study_holds_no_trajectory():
@@ -398,7 +438,7 @@ def test_convergence_study_holds_no_trajectory():
     finally:
         tracemalloc.stop()
     assert peak < 4e6, peak
-    assert table.steps == 4 * 100
+    assert table.ode["steps"] == 4 * 100
     assert table.engines == {8: "factors", 16: "factors", 32: "factors", 64: "factors"}
 
 

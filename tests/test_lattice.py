@@ -125,6 +125,31 @@ def test_kernel_engines_match_explicit_matrix(case):
     assert kern.engine == ("factors" if spec.name in ("cosine", "constant") else "fft")
 
 
+def _tabulated(d, n):
+    rng = np.random.default_rng(n)
+    return KernelSpec.tabulated(rng.uniform(size=(n ** d, n ** d)))
+
+
+@pytest.mark.parametrize("make", [lambda d, n: KernelSpec.cosine(0.5, d=d),
+                                  lambda d, n: KernelSpec.constant(1.5),
+                                  lambda d, n: KernelSpec.gaussian(width=0.1, d=d),
+                                  _tabulated],
+                         ids=["cosine", "constant", "gaussian", "tabulated"])
+@pytest.mark.parametrize("d, n", [(1, 16), (1, 256), (2, 8), (2, 16)])
+def test_convolutions_read_values_not_strides(make, d, n):
+    # a column of an (N, 3) density and its contiguous copy hold the same
+    # values, so every engine gives the same bytes for both, one field or a
+    # stack; a BLAS product reading the strided column summed in another order
+    kern = discretize(make(d, n), TorusLattice(d, n))
+    assert kern.engine in ("factors", "fft", "dense")
+    u = np.random.default_rng(d * n).uniform(size=(n ** d, 3))
+    for strided in (u[:, 2], u.T):
+        contiguous = strided.copy()
+        assert not strided.flags.c_contiguous and contiguous.flags.c_contiguous
+        for apply in (kern.conv, kern.conv_adjoint):
+            assert apply(strided).tobytes() == apply(contiguous).tobytes()
+
+
 def test_adjoint_identity_weighted_inner_product():
     lat = TorusLattice(1, 16)
     kern = discretize(_asymmetric_kernel(), lat)

@@ -24,7 +24,7 @@ PINNED = {
         "clt_counts.csv": "2e34b064e6fc640ee93942e9d0b91647c3df4e720af131283305329fee0383c7"}),
     # 1, 2 and 3 blocks at n = 128, 256 and 512 (682, 372 and 195 lanes)
     "lln-rate": (["replicas=500", "n_list=[128, 256, 512]", "times=[0.5]", "seed=1"], {
-        "lln.csv": "e7463062cff2e8853cd8a7cf3d1d926f1a6b52148a63bea8caa88cc06cbb5c80"}),
+        "lln.csv": "161ea21fb98229b97d13cef3a3f2f971ecb5fe405ed9e766529e4756ed3e7967"}),
 }
 
 
