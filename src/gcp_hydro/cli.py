@@ -1,6 +1,7 @@
 """Command-line entry point: one subcommand per named experiment.
 
-    gcp-hydro <experiment> --config <file> [--set key=value ...] --out <dir>
+    gcp-hydro <experiment> [--config <file>] [--set key=value ...] --out <dir>
+    gcp-hydro <experiment> [--config <file>] [--set key=value ...] --validate-only
 
 Exit codes: 0 on pass (or for experiments without thresholds), 1 when a
 declared threshold fails, 2 on config errors.  GCP_HYDRO_WORKERS and
@@ -25,14 +26,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="YAML config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],
                        metavar="KEY=VALUE", help="override one config entry")
-        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", help="output directory; a run requires it")
         p.add_argument("--validate-only", action="store_true",
                        help="check the config and exit")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.out is None and not args.validate_only:
+        parser.error(f"{args.experiment}: the following arguments are required: --out")
     try:
         cfg = load_config(args.experiment, args.config, args.overrides)
         if args.validate_only:

@@ -29,8 +29,8 @@ from .concentration import (MGF_MIN_REPLICAS, centered_indicator,
 from .entropy import StateSpace, entropy_production_check, profile_law
 from .fields import TestFunction, carre_du_champ, centered_field, fluctuation, lln_error
 from .gcp import SpinConfig, Simulation, block_lanes, replica_rng
-from .hydro import (ModelParams, combined_ode, convergence_study, final_density, integrate,
-                    profile_field)
+from .hydro import (ModelParams, _grid, combined_ode, convergence_study, final_density,
+                    grid_index, integrate, profile_field)
 from .io_utils import config_hash, write_csv, write_json
 from .lattice import KernelSpec, TorusLattice, discretize
 from .profiles import InitialProfile
@@ -218,8 +218,9 @@ def validate(cfg) -> list:
     Checked here: what no builder can state (JSON, booleans as integers,
     unread keys, the environment, ``times`` order, ``state``, ``n_ref``
     divisibility, the profile's k and margin) and the ``TAKES`` counts and
-    floors.  Every other rule is raised by its builder in a dry build of what
-    the runner builds at each lattice side; nothing is solved or simulated.
+    floors.  Every other rule is raised by its builder in a dry build of the
+    time grid and of what the runner builds at each lattice side; nothing is
+    solved or simulated.
     """
     v = []
     name = cfg.get("experiment")
@@ -278,6 +279,9 @@ def validate(cfg) -> list:
         v.append("times: observation times must be strictly increasing")
     elif len(times) > most_times:
         v.append(f"times: {name} observes {most_times} time(s), the config lists {len(times)}")
+    elif _is_number(cfg.get("h")) and cfg["h"] > 0:  # each time is a point of the grid
+        grid = _grid(times[-1], cfg["h"])[0]
+        _built(v, "times", lambda: [grid_index(grid, t) for t in times], f" (h={cfg['h']})")
     n_list = cfg.get("n_list")
     sides_ok = (isinstance(n_list, (list, tuple)) and bool(n_list)
                 and all(_is_int(n) and n >= 2 for n in n_list))
@@ -317,11 +321,11 @@ def validate(cfg) -> list:
 # -- shared builders ----------------------------------------------------------
 
 def _system(cfg, n):
+    """(params, u0): the dynamics and the initial density on the lattice of side n."""
     lattice = TorusLattice(cfg["d"], n)
     spec = KernelSpec.from_config(cfg["kernel"], d=cfg["d"])
     params = ModelParams(cfg["a"], cfg["k"], discretize(spec, lattice))
-    u0 = profile_field(InitialProfile.from_config(cfg["profile"]), lattice)
-    return lattice, params, u0
+    return params, profile_field(InitialProfile.from_config(cfg["profile"]), lattice)
 
 
 def _functions(cfg):
@@ -345,11 +349,6 @@ def _sum_counters(counters):
     return {key: sum(c[key] for c in counters) for key in counters[0]}
 
 
-def _kernel_metrics(engines):
-    """run.json's ``metrics.kernel``: the convolution engine of each lattice side."""
-    return {"engine": {str(n): e for n, e in sorted(engines.items())}}
-
-
 def _concat(parts):
     """Join tuples of per-block arrays field by field; a None field stays None."""
     return tuple(None if field[0] is None else np.concatenate(field) for field in zip(*parts))
@@ -365,7 +364,7 @@ def _observe(cfg, n, t, lo, hi, u_t, pair):
     configurations to a tuple of arrays with a leading replica axis; returns
     that tuple and the block's simulator counters.
     """
-    _, params, u0 = _system(cfg, n)
+    params, u0 = _system(cfg, n)
     sim = Simulation(u0, params, cfg["seed"], range(lo, hi))
     config = sim.simulate_until([t])[0].config
     return pair(centered_field(config, u_t), config), sim.counters()
@@ -408,11 +407,8 @@ def _replica_tasks(cfg, fn, n, t, u_t):
 # -- experiment runners --------------------------------------------------------
 
 def _run_hydro_converge(cfg):
-    spec = KernelSpec.from_config(cfg["kernel"], d=cfg["d"])
-    profile = InitialProfile.from_config(cfg["profile"])
-    table = convergence_study(cfg["n_list"], spec, profile, cfg["a"], cfg["k"],
-                              cfg["times"][-1], n_ref=cfg["n_ref"],
-                              d=cfg["d"], h=cfg["h"])
+    table = convergence_study(cfg["n_list"], lambda n: _system(cfg, n), cfg["times"][-1],
+                              n_ref=cfg["n_ref"], h=cfg["h"])
     # the zero-diagonal lattice equation is biased by O(n^-d), so the
     # expected log-log slope is -d unless the config names its own target
     target, tol = cfg.get("slope_target", -float(cfg["d"])), cfg["slope_tol"]
@@ -421,18 +417,17 @@ def _run_hydro_converge(cfg):
     summary = {"slope": slope,
                "slope_se": table.fit.slope_se if table.fit else None,
                "slope_target": target, "slope_tol": tol}
-    metrics = {"ode": table.ode, "kernel": _kernel_metrics(table.engines)}
-    return passed, {"convergence": ("convergence", table.rows())}, summary, metrics
+    return passed, {"convergence": ("convergence", table.rows())}, summary, {"ode": table.ode}
 
 
 def _run_lln_rate(cfg):
     t = cfg["times"][-1]
     fns = _functions(cfg)
     state = cfg["state"]
-    rows, slopes, counters, solves, engines = [], {}, [], [], {}
+    rows, slopes, counters, solves = [], {}, [], []
     per_f_means = {f.name: [] for f in fns}
     for n in cfg["n_list"]:
-        u_t, (ode, engines[n]) = _density_at(cfg, n, t)
+        u_t, ode = _density_at(cfg, n, t)
         (sq,), totals = _replica_tasks(cfg, _lln_batch, n, t, u_t)
         counters.append(totals)
         solves.append(ode)
@@ -449,8 +444,7 @@ def _run_lln_rate(cfg):
         slopes[fname] = {"slope": fit.slope, "se": fit.slope_se}
         passed = passed and abs(fit.slope - target) <= tol
     summary = {"slopes": slopes, "slope_target": target, "slope_tol": tol}
-    metrics = {"ode": combined_ode(solves), "kernel": _kernel_metrics(engines),
-               "simulator": _sum_counters(counters)}
+    metrics = {"ode": combined_ode(solves), "simulator": _sum_counters(counters)}
     return passed, {"lln": ("lln", rows)}, summary, metrics
 
 
@@ -462,7 +456,7 @@ def _run_fluctuations(cfg):
     n = cfg["n_list"][0]
     t = cfg["times"][-1]
     marginals = _marginals(cfg)
-    predicted, u_t, ode, engine = _predicted_cov(cfg, n, t, marginals)
+    predicted, u_t, ode = _predicted_cov(cfg, n, t, marginals)
     (errors, x, counts, sigmas), counters = _replica_tasks(cfg, _fluctuation_batch, n, t, u_t)
     replicas = len(x)
     centered = [col - col.mean() for col in x.T]
@@ -496,33 +490,31 @@ def _run_fluctuations(cfg):
         cfg_rows = [(r, t, site, s) for r, sigma in enumerate(sigmas.tolist())
                     for site, s in enumerate(sigma)]
         payloads["clt_configs"] = (("replica", "t", "site", "state"), cfg_rows)
-    metrics = {"ode": ode, "kernel": _kernel_metrics({n: engine}), "simulator": counters}
-    return variance_ok and shape_ok, payloads, summary, metrics
+    return variance_ok and shape_ok, payloads, summary, {"ode": ode, "simulator": counters}
 
 
 def _predicted_cov(cfg, n, t, marginals):
-    """The mild covariance of the marginals at t, the density at t, the
-    solve's counts and the kernel engine; the system and its trajectory are
-    freed on return."""
-    _, params, u0 = _system(cfg, n)
+    """The mild covariance of the marginals at t, the density at t and the
+    solve's counts; the system and its trajectory are freed on return."""
+    params, u0 = _system(cfg, n)
     traj = integrate(u0, params, t, cfg["h"])
     cov = predicted_cov_mild([terminal_datum(f, i, params.lattice, params.k)
                               for f, i in marginals], t, traj, params)
-    return cov, traj.final(), traj.ode, params.kernel.engine
+    return cov, traj.final(), traj.ode
 
 
 def _density_at(cfg, n, t):
-    """The density at t on side n, solved without its trajectory, and what
-    run.json reports of the solve: (its counts, the kernel engine)."""
-    _, params, u0 = _system(cfg, n)
-    u_t, ode = final_density(u0, params, t, cfg["h"])
-    return u_t, (ode, params.kernel.engine)
+    """(u_t, ode): the density at t on side n, solved without its trajectory,
+    and the solve's counts."""
+    params, u0 = _system(cfg, n)
+    return final_density(u0, params, t, cfg["h"])
 
 
 def _run_qv_check(cfg):
-    n = cfg["n_list"][0]
-    _, params, u0 = _system(cfg, n)
-    space = StateSpace(params.lattice, params.k)
+    params, u0 = _system(cfg, cfg["n_list"][0])
+    lattice, k = params.lattice, params.k
+    space = StateSpace(lattice, k)
+    configs = SpinConfig(lattice, k, space.digits)  # every state, one row each
     fns = _functions(cfg)
     traj = integrate(u0, params, cfg["times"][-1], cfg["h"])
     rows, worst = [], 0.0
@@ -531,25 +523,21 @@ def _run_qv_check(cfg):
         mu = profile_law(u_t, space)
         gam = gamma_field(u_t, params)
         for f in fns:
-            fv = f.values_on(params.lattice)
-            for i in range(params.k + 1):
-                for j in range(params.k + 1):
-                    enum = sum(mu[s] * carre_du_champ(
-                        SpinConfig(params.lattice, params.k, space.config_of(s)),
-                        params, f, i, j) for s in range(space.size))
+            fv = f.values_on(lattice)
+            for i in range(k + 1):
+                for j in range(k + 1):
+                    enum = float(mu @ carre_du_champ(configs, params, f, i, j))
                     ref = float(np.mean(gam[:, i, j] * fv ** 2))
                     diff = abs(enum - ref)
                     worst = max(worst, diff)
                     rows.append((t, f.name, i, j, enum, ref, diff))
     passed = worst <= cfg["tolerance"]
     summary = {"max_abs_diff": worst, "tolerance": cfg["tolerance"]}
-    metrics = {"ode": traj.ode, "kernel": _kernel_metrics({n: params.kernel.engine})}
-    return passed, {"qv": ("qv", rows)}, summary, metrics
+    return passed, {"qv": ("qv", rows)}, summary, {"ode": traj.ode}
 
 
 def _run_entropy_exact(cfg):
-    n = cfg["n_list"][0]
-    _, params, u0 = _system(cfg, n)
+    params, u0 = _system(cfg, cfg["n_list"][0])
     report = entropy_production_check(params, u0, cfg["times"][-1], cfg["h"])
     passed = (abs(report.entropy[0]) <= 1e-12
               and float(np.min(report.entropy)) >= -1e-12
@@ -560,8 +548,7 @@ def _run_entropy_exact(cfg):
                "min_inequality_margin": float(np.min(report.inequality_margin())),
                "inequality_holds": report.inequality_holds(),
                "under_envelope": report.under_envelope()}
-    metrics = dict(report.metrics, kernel=_kernel_metrics({n: params.kernel.engine}))
-    return passed, {"entropy": ("entropy", report.rows())}, summary, metrics
+    return passed, {"entropy": ("entropy", report.rows())}, summary, report.metrics
 
 
 def _run_concentration(cfg):
@@ -600,12 +587,20 @@ _RUNNERS = {
 
 
 def run(cfg, out_dir) -> RunResult:
-    """Validate, dispatch, and emit results atomically under out_dir."""
+    """Validate, dispatch, and emit results atomically under out_dir.
+
+    A run whose config has a kernel reports ``metrics.kernel.engine``, the
+    spec's engine at each lattice side it builds.
+    """
     violations = validate(cfg)
     if violations:
         raise ConfigError(violations)
     started = time.perf_counter()
     passed, payloads, summary, metrics = _RUNNERS[cfg["experiment"]](cfg)
+    if "kernel" in cfg:
+        engine = KernelSpec.from_config(cfg["kernel"], d=cfg["d"]).engine
+        sides = list(cfg["n_list"]) + ([cfg["n_ref"]] if "n_ref" in cfg else [])
+        metrics["kernel"] = {"engine": {str(n): engine for n in sides}}
     passed = None if passed is None else bool(passed)
     csv_paths = []
     for stem, (header, rows) in payloads.items():

@@ -5,7 +5,8 @@ against a density field.  Paired with a test function it yields the
 density-scale error functional (n^-d weighting) and the fluctuation
 functional (n^-d/2 weighting), one value per replica when the
 configurations carry a leading replica axis; the quadratic form of the
-generator is evaluated on configurations directly.
+generator is evaluated on configurations directly, one value per row of a
+stack too.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ from .lattice import TorusLattice
 
 
 class TestFunction:
-    """Named smooth function on the unit torus with a known sup norm."""
+    """Named smooth function on the unit torus, or a table of site values."""
 
     __test__ = False  # keep pytest from collecting the math term as a suite
 
-    def __init__(self, name, params, evaluate, norm_inf, values=None):
+    def __init__(self, name, params, evaluate, values=None):
         self.name = name
         self.params = dict(params)
         self._evaluate = evaluate
-        self.norm_inf = float(norm_inf)
         self._values = values
 
     def __repr__(self):
@@ -54,22 +54,19 @@ class TestFunction:
     @classmethod
     def constant(cls, c=1.0):
         c = float(c)
-        return cls("constant", {"c": c},
-                   lambda pts: np.full(pts.shape[0], c), abs(c))
+        return cls("constant", {"c": c}, lambda pts: np.full(pts.shape[0], c))
 
     @classmethod
     def cos_mode(cls, mode=1):
         mode = np.atleast_1d(np.asarray(mode, dtype=float))
         return cls("cos", {"mode": mode.tolist()},
-                   lambda pts: np.cos(2.0 * np.pi * (pts @ np.broadcast_to(mode, (pts.shape[1],)))),
-                   1.0)
+                   lambda pts: np.cos(2.0 * np.pi * (pts @ np.broadcast_to(mode, (pts.shape[1],)))))
 
     @classmethod
     def sin_mode(cls, mode=1):
         mode = np.atleast_1d(np.asarray(mode, dtype=float))
         return cls("sin", {"mode": mode.tolist()},
-                   lambda pts: np.sin(2.0 * np.pi * (pts @ np.broadcast_to(mode, (pts.shape[1],)))),
-                   1.0)
+                   lambda pts: np.sin(2.0 * np.pi * (pts @ np.broadcast_to(mode, (pts.shape[1],)))))
 
     @classmethod
     def bump(cls, center=0.0, width=0.25):
@@ -83,13 +80,12 @@ class TestFunction:
             c = np.broadcast_to(center, (pts.shape[1],))
             return np.exp((np.cos(2.0 * np.pi * (pts - c)) - 1.0).sum(axis=1) / width ** 2)
 
-        return cls("bump", {"center": center.tolist(), "width": width}, ev, 1.0)
+        return cls("bump", {"center": center.tolist(), "width": width}, ev)
 
     @classmethod
     def tabulated(cls, values):
         values = np.asarray(values, dtype=float)
-        return cls("tabulated", {"n_sites": len(values)}, None,
-                   float(np.max(np.abs(values))) if values.size else 0.0, values)
+        return cls("tabulated", {"n_sites": len(values)}, None, values)
 
     @classmethod
     def from_config(cls, cfg):
@@ -144,8 +140,9 @@ def fluctuation(w: CenteredField, f: TestFunction, i):
     return _pairing(w, f, i) / math.sqrt(w.lattice.n_sites)
 
 
-def carre_du_champ(config: SpinConfig, params: ModelParams, f: TestFunction, i, j) -> float:
-    """Quadratic form of the generator on a pair of fluctuation observables.
+def carre_du_champ(config: SpinConfig, params: ModelParams, f: TestFunction, i, j):
+    """Quadratic form of the generator on a pair of fluctuation observables:
+    a float, or one per configuration of a stack.
 
     Each jump at site x raises sigma_x by one (mod k+1), so the state-i
     indicator changes by 1(sigma_x = i-1) - 1(sigma_x = i); the form weights
@@ -157,4 +154,5 @@ def carre_du_champ(config: SpinConfig, params: ModelParams, f: TestFunction, i, 
     di = (sigma == (i - 1) % kp1).astype(float) - (sigma == i % kp1)
     dj = (sigma == (j - 1) % kp1).astype(float) - (sigma == j % kp1)
     fv = f.values_on(config.lattice)
-    return float(np.mean(rate * di * dj * fv ** 2))
+    form = np.mean(rate * di * dj * fv ** 2, axis=-1)
+    return float(form) if np.ndim(form) == 0 else form

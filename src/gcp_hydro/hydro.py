@@ -8,9 +8,12 @@ normalized kernel convolution of the top-state density:
 with A the recover-to-zero generator and M the raise-one-state stencil.
 Alongside the forward solver this module provides the adjoint (backward)
 flow used to predict fluctuation variances and a discretization-convergence
-study against a fine-lattice reference run.  The forward solve is a generator,
-``density_steps``; ``integrate`` collects its states for the callers that
-read every grid time, and ``final_density`` keeps only the last.
+study against a fine-lattice reference run.  The study builds each side with
+its caller's ``system(n) -> (params, u0)`` and reports no kernel facts: the
+convolution engine is the kernel spec's (``KernelSpec.engine``).  The
+forward solve is a generator, ``density_steps``; ``integrate`` collects its
+states for the callers that read every grid time, and ``final_density``
+keeps only the last.
 
 Both flows compute state-major.  A density is (N, k+1), so in C order its
 fast axis has k+1 entries and every per-state operation would run k+1
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import TorusLattice, KernelSpec, DiscreteKernel, discretize
+from .lattice import TorusLattice, DiscreteKernel
 
 MASS_TOL = 1e-9
 # round-off: a study with an error at or below this fits no rate
@@ -285,15 +288,6 @@ def final_density(u0: DensityField, params: ModelParams, t_end, h):
     return DensityField(u0.lattice, u0.k, np.ascontiguousarray(u)), _ode(steps, renorms, low)
 
 
-def _lattice_run(profile, spec: KernelSpec, a, k, t_end, n, d, h):
-    """The profile solved to t_end on the lattice of side n:
-    (kernel engine, u_t_end, the solve's counts)."""
-    lattice = TorusLattice(d, n)
-    params = ModelParams(a, k, discretize(spec, lattice))
-    u, ode = final_density(profile_field(profile, lattice), params, t_end, h=h)
-    return params.kernel.engine, u, ode
-
-
 def restrict(fine: DensityField, coarse: TorusLattice) -> DensityField:
     """Subsample a fine-lattice field onto a coarser lattice with n | n_ref."""
     ratio, rem = divmod(fine.lattice.n, coarse.n)
@@ -311,33 +305,37 @@ class ConvergenceTable:
     sizes: list
     errors: list
     fit: object  # stats.RateFit, or None when errors sit at the noise floor
-    ode: dict      # the solves' counts, combined over the reference and study lattices
-    engines: dict  # lattice side -> DiscreteKernel.engine
+    ode: dict    # the solves' counts, combined over the reference and study lattices
 
     def rows(self):
         return list(zip(self.sizes, self.errors))
 
 
-def convergence_study(n_list, spec: KernelSpec, profile, a, k, t_end,
-                      *, n_ref, h, d=1) -> ConvergenceTable:
-    """Integrate on each lattice in n_list and compare against a fine reference."""
+def convergence_study(n_list, system, t_end, *, n_ref, h) -> ConvergenceTable:
+    """Integrate on each lattice in n_list and compare against a fine reference.
+
+    ``system(n)`` builds the (params, u0) of side n; the sides are built and
+    solved one at a time, so only the reference's final field outlives its solve.
+    """
     n_list = sorted(int(n) for n in n_list)
     if len(n_list) < 3:
         raise ValueError("convergence study needs at least 3 lattice sizes")
     for n in n_list:
         if n_ref % n != 0:
             raise ValueError(f"study size n={n} must divide the reference size {n_ref}")
-    engine, ref, ode = _lattice_run(profile, spec, a, k, t_end, n_ref, d, h)
-    engines, errors, odes = {n_ref: engine}, [], [ode]
+    params, u0 = system(n_ref)
+    ref, ode = final_density(u0, params, t_end, h)
+    errors, odes = [], [ode]
     for n in n_list:
-        engines[n], final, ode = _lattice_run(profile, spec, a, k, t_end, n, d, h)
+        params, u0 = system(n)
+        final, ode = final_density(u0, params, t_end, h)
         odes.append(ode)
         errors.append(float(np.max(np.abs(final.u - restrict(ref, final.lattice).u))))
     fit = None
     if min(errors) > ERROR_FLOOR:
         from .stats import rate_fit
         fit = rate_fit(list(zip(n_list, errors)))
-    return ConvergenceTable(list(n_list), errors, fit, combined_ode(odes), engines)
+    return ConvergenceTable(list(n_list), errors, fit, combined_ode(odes))
 
 
 @dataclass

@@ -4,14 +4,16 @@ Sites of the d-dimensional discrete torus of side n are indexed row-major
 (last coordinate fastest) and embedded into the unit torus at x/n.  A
 catalog kernel is a function of x - y, so it is sampled once on the N
 displacements of the lattice, with an explicitly zero diagonal; its columns
-and its dense matrix are windows of that one sample.  The kernel alone picks
-the convolution engine (``DiscreteKernel.engine``): a kernel with a
+and its dense matrix are windows of that one sample.  The kernel's spec alone
+decides the convolution engine (``KernelSpec.engine``): a kernel with a
 closed-form factorization J[x, y] = sum_j P[x, j] Q[y, j] convolves through
 its factors, any other catalog kernel by FFT, and a tabulated kernel by its
-dense table.  The normalized convolutions serve every other module.  The
-simulator reads the kernel through the same factorization, valid off the
-diagonal: r = 1 for the constant kernel, r = 3^d for the cosine kernel, and
-r = N (P the identity, Q[y] the column J[:, y]) for every other kernel.
+dense table.  A spec carries no norms: the sup and row-sum norms a caller
+reads are the sampled kernel's.  The normalized convolutions serve every
+other module.  The simulator reads the kernel through the same
+factorization, valid off the diagonal: r = 1 for the constant kernel,
+r = 3^d for the cosine kernel, and r = N (P the identity, Q[y] the column
+J[:, y]) for every other kernel.
 """
 
 from __future__ import annotations
@@ -72,27 +74,31 @@ def _wrap_displacement(r):
 
 
 class KernelSpec:
-    """Named nonnegative kernel on the unit torus with closed-form norm bounds.
+    """Named nonnegative kernel on the unit torus.
 
     ``evaluate(x, y)`` must be a function of x - y alone: a lattice samples
     it once on its displacements.  A kernel of arbitrary site pairs is what
-    ``tabulated`` is for.  ``norm_l1`` is sup_x of the y-integral of J(x, .)
-    and ``norm_inf`` the pointwise sup; both are exact for the catalog
-    entries.  ``features(points)``, when given, returns (P, Q), each
-    (len(points), r), with J(x, y) = sum_j P[x, j] Q[y, j].
+    ``tabulated`` is for.  ``features(points)``, when given, returns (P, Q),
+    each (len(points), r), with J(x, y) = sum_j P[x, j] Q[y, j].
     """
 
-    def __init__(self, name, params, evaluate, norm_inf, norm_l1, table=None, features=None):
+    def __init__(self, name, params, evaluate, table=None, features=None):
         self.name = name
         self.params = dict(params)
         self._evaluate = evaluate
-        self.norm_inf = float(norm_inf)
-        self.norm_l1 = float(norm_l1)
         self.table = table
         self.features = features
 
     def __repr__(self):
         return f"KernelSpec({self.name!r}, {self.params!r})"
+
+    @property
+    def engine(self) -> str:
+        """How the kernel convolves on every lattice: ``"dense"`` by its table,
+        ``"factors"`` through its features, ``"fft"`` for any other kernel."""
+        if self.table is not None:
+            return "dense"
+        return "fft" if self.features is None else "factors"
 
     def evaluate(self, x, y):
         """Pointwise values J(x, y); x and y are (..., d) arrays."""
@@ -108,7 +114,6 @@ class KernelSpec:
             raise ValueError("constant kernel needs c >= 0")
         return cls("constant", {"c": c},
                    lambda x, y: np.full(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]), c),
-                   norm_inf=c, norm_l1=c,
                    features=lambda pts: (np.full((len(pts), 1), c), np.ones((len(pts), 1))))
 
     @classmethod
@@ -132,9 +137,7 @@ class KernelSpec:
                 q = (q[:, :, None] * q_axis[:, None, :]).reshape(len(pts), -1)
             return p, q
 
-        # each factor integrates to 1 in y; sup of each factor is 1 + |beta|
-        return cls("cosine", {"beta": beta}, ev,
-                   norm_inf=(1.0 + abs(beta)) ** d, norm_l1=1.0, features=features)
+        return cls("cosine", {"beta": beta}, ev, features=features)
 
     @classmethod
     def gaussian(cls, c=1.0, width=0.1, d=1):
@@ -155,9 +158,7 @@ class KernelSpec:
             r = _wrap_displacement(x - y)
             return c * np.prod(phi(r), axis=-1)
 
-        peak = float(phi(np.zeros(1))[0])
-        return cls("gaussian", {"c": c, "width": width}, ev,
-                   norm_inf=c * peak ** d, norm_l1=c)
+        return cls("gaussian", {"c": c, "width": width}, ev)
 
     @classmethod
     def tabulated(cls, table):
@@ -165,10 +166,7 @@ class KernelSpec:
         table = np.asarray(table, dtype=float)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError("tabulated kernel must be a square matrix")
-        return cls("tabulated", {"n_sites": table.shape[0]}, None,
-                   norm_inf=float(np.max(table)) if table.size else 0.0,
-                   norm_l1=float(np.max(table.sum(axis=1))) / max(table.shape[0], 1),
-                   table=table)
+        return cls("tabulated", {"n_sites": table.shape[0]}, None, table=table)
 
     @classmethod
     def from_table_csv(cls, path, n_sites):
@@ -212,21 +210,21 @@ class DiscreteKernel:
     n - x, which ``col`` and ``matrix`` both gather.  A spec with
     ``features`` also stores its (N, r) factors P and Q, sampled at the
     sites; any other kernel is the rank-N factorization P = identity,
-    Q[y] = J[:, y].  ``engine`` names how the convolutions run, by the kind
-    of kernel alone: ``"factors"`` for a spec with features (P Q^T less its
-    diagonal), ``"fft"`` for any other catalog kernel (FFTs of phi), and
-    ``"dense"`` for a tabulated kernel (its (N, N) table, applied by
-    matvec).  Immutable after construction.
+    Q[y] = J[:, y].  ``engine`` is the spec's (``KernelSpec.engine``):
+    ``"factors"`` convolves by P Q^T less its diagonal, ``"fft"`` by FFTs of
+    phi, and ``"dense"`` by matvec with the (N, N) table.  Immutable after
+    construction.
     """
 
     def __init__(self, lattice: TorusLattice, spec: KernelSpec):
         self.lattice = lattice
         self.spec = spec
+        self.engine = spec.engine
         n_sites = lattice.n_sites
         self._axes = tuple(range(lattice.d))
         self._table = self._phi2 = self._phi_hat = self._p = self._q = self._diag = None
         self.rank = n_sites
-        if spec.table is not None:
+        if self.engine == "dense":
             if spec.table.shape != (n_sites, n_sites):
                 raise ValueError(f"tabulated kernel has {spec.table.shape[0]} sites and "
                                  f"does not match lattice of {n_sites} sites")
@@ -234,7 +232,6 @@ class DiscreteKernel:
             np.fill_diagonal(m, 0.0)
             self._check_entries(m)
             self._table = m
-            self.engine = "dense"
             self.norm_1n = float(np.max(m.sum(axis=1))) / n_sites
             self.norm_inf = float(np.max(m))
             return
@@ -247,15 +244,13 @@ class DiscreteKernel:
         self.norm_1n = float(phi.sum()) / n_sites
         self.norm_inf = float(phi.max())
         self._phi2 = np.tile(phi, (2,) * lattice.d)
-        if spec.features is not None:
-            self.engine = "factors"
+        if self.engine == "factors":
             self._p, self._q = (np.ascontiguousarray(f, dtype=float)
                                 for f in spec.features(lattice.positions()))
             self.rank = self._q.shape[1]
             # P Q^T holds J's diagonal too, which the convolution leaves out
             self._diag = np.einsum("xj,xj->x", self._p, self._q)
         else:
-            self.engine = "fft"
             self._phi_hat = np.fft.rfftn(phi, axes=self._axes)
 
     @staticmethod

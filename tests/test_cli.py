@@ -26,7 +26,7 @@ def _least_component(cfg, sides):
     """The least density component over the solves to times[-1] on each side,
     read from the trajectories themselves."""
     return min(float(integrate(u0, params, cfg["times"][-1], cfg["h"]).u.min())
-               for _, params, u0 in (_system(cfg, n) for n in sides))
+               for params, u0 in (_system(cfg, n) for n in sides))
 
 
 def test_headers_are_pinned():
@@ -221,6 +221,42 @@ def test_cli_main_exit_codes(tmp_path):
     rc = main(["entropy-exact", "--validate-only", "--out", str(tmp_path / "v")])
     assert rc == 0
     assert not (tmp_path / "v").exists()
+
+
+def test_validate_only_needs_no_out_and_a_run_does(capsys):
+    assert main(["qv-check", "--validate-only"]) == 0
+    assert capsys.readouterr().out == "config ok\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["qv-check"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
+def test_a_time_off_the_step_grid_is_config_error(tmp_path, capsys):
+    # qv-check looks every time up on the grid of step h; 0.003 is no point of
+    # it, which validation passed and the run ended in a traceback from grid_index
+    for flags in (["--out", str(tmp_path / "q")], ["--validate-only"]):
+        assert main(["qv-check", "--set", "times=[0.003, 0.5]"] + flags) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: times: time 0.003 is not on the grid 0.0..0.5 (h=0.01)"]
+    assert not (tmp_path / "q").exists()
+    assert validate(load_config("qv-check", None, ["times=[0.0, 0.03, 0.5]"])) == []
+
+
+def test_kernel_engine_is_reported_by_the_spec(tmp_path):
+    # a tabulated kernel convolves by its dense table; a run without a
+    # kernel reports none
+    table = tmp_path / "kernel.csv"
+    table.write_text("".join(f"{x},{y},1.0\n" for x in range(4) for y in range(4)))
+    kernel = ["kernel.name=tabulated", f"kernel.path={table}", "kernel.n_sites=4"]
+    assert main(["entropy-exact", *(arg for o in kernel + ["times=[0.1]"]
+                                    for arg in ("--set", o)),
+                 "--out", str(tmp_path / "e")]) == 0
+    meta = json.loads((tmp_path / "e" / "run.json").read_text())
+    assert meta["metrics"]["kernel"] == {"engine": {"4": "dense"}}
+    assert main(["concentration", "--set", "replicas=10000", "--set", "matrix_size=4",
+                 "--out", str(tmp_path / "c")]) == 0
+    assert "kernel" not in json.loads((tmp_path / "c" / "run.json").read_text())["metrics"]
 
 
 @pytest.mark.parametrize("experiment, override, field", [

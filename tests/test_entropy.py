@@ -348,7 +348,7 @@ LAW_PINNED = {
 @pytest.mark.parametrize("case", sorted(LAW_PINNED))
 def test_last_law_digest_pinned(case):
     cfg = load_config("entropy-exact", None, ENTROPY_PINNED[case][0])
-    _, params, u0 = _system(cfg, cfg["n_list"][0])
+    params, u0 = _system(cfg, cfg["n_list"][0])
     space = StateSpace(params.lattice, params.k)
     for law, _ in law_steps(profile_law(u0, space), MasterOperator(space, params),
                             cfg["times"][-1], cfg["h"]):

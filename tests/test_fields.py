@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gcp_hydro.entropy import StateSpace
 from gcp_hydro.fields import (TestFunction, carre_du_champ, centered_field,
                               fluctuation, lln_error)
 from gcp_hydro.gcp import SpinConfig, rates_from_scratch, replica_rng, sample_initial
@@ -22,15 +23,15 @@ def _field(params, vec):
 
 def test_test_function_catalog_norms():
     lat = TorusLattice(1, 32)
-    assert TestFunction.constant().norm_inf == 1.0
-    assert TestFunction.cos_mode(2).norm_inf == 1.0
+    assert np.all(TestFunction.constant().values_on(lat) == 1.0)
+    assert np.max(np.abs(TestFunction.cos_mode(2).values_on(lat))) == 1.0
     cos = TestFunction.cos_mode(1).values_on(lat)
     np.testing.assert_allclose(cos, np.cos(2 * np.pi * np.arange(32) / 32), atol=1e-14)
     bump = TestFunction.bump(center=0.5, width=0.3)
     vals = bump.values_on(lat)
     assert vals.max() <= 1.0 and vals[16] == pytest.approx(1.0)
     tab = TestFunction.tabulated([1.0, -3.0, 2.0])
-    assert tab.norm_inf == 3.0
+    assert np.array_equal(tab.values_on(TorusLattice(1, 3)), [1.0, -3.0, 2.0])
     with pytest.raises(ValueError, match="does not match lattice"):
         tab.values_on(lat)
 
@@ -80,7 +81,7 @@ def test_lln_error_constant_function_identity():
     for i in range(3):
         expected = np.mean(sigma.sigma == i) - np.mean(u[:, i])
         assert lln_error(w, f1, i) == pytest.approx(expected, abs=1e-14)
-        assert abs(lln_error(w, f1, i)) <= f1.norm_inf
+        assert abs(lln_error(w, f1, i)) <= 1.0
 
 
 def test_fluctuation_scaling_relation():
@@ -164,6 +165,20 @@ def test_carre_du_champ_polarization():
         d1 = (sigma.sigma == 0).astype(float) - (sigma.sigma == 1)
         mixed = float(np.mean(rate * d1 * d1 * fa * fb))
         assert gsum - ga - gb == pytest.approx(2.0 * mixed, abs=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [KernelSpec.cosine(0.5), KernelSpec.gaussian(width=0.1)])
+def test_carre_du_champ_of_a_stack_is_each_configurations(kernel):
+    # qv-check evaluates the form on every configuration of the enumeration at once
+    p = _params(n=5, k=2, a=1.2, kernel=kernel)
+    space = StateSpace(p.lattice, 2)
+    f = TestFunction.cos_mode(1)
+    for i, j in ((0, 0), (1, 2), (2, 1), (2, 2)):
+        stacked = carre_du_champ(SpinConfig(p.lattice, 2, space.digits), p, f, i, j)
+        each = [carre_du_champ(SpinConfig(p.lattice, 2, space.config_of(s)), p, f, i, j)
+                for s in range(space.size)]
+        assert stacked.shape == (space.size,)
+        assert np.max(np.abs(stacked - each)) <= 1e-15
 
 
 def test_carre_du_champ_deterministic_bound():

@@ -317,7 +317,7 @@ def test_fft_kernel_column_updates_match_rates_from_scratch():
         r = x - y - np.round(x - y)
         return np.prod(1.0 + 0.5 * np.cos(2 * np.pi * r) + 0.3 * np.sin(2 * np.pi * r),
                        axis=-1)
-    p = _params(n=24, k=1, a=0.5, kernel=KernelSpec("skew", {}, skew, 1.8 ** 2, 1.0), d=2)
+    p = _params(n=24, k=1, a=0.5, kernel=KernelSpec("skew", {}, skew), d=2)
     assert p.kernel.engine == "fft"
     sim = Simulation(_uniform_field(p, [0.5, 0.5]), p, seed=43, replicas=4)
     for _ in range(2000):

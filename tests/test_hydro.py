@@ -335,10 +335,18 @@ def test_restrict_subsamples_matched_points():
         restrict(DensityField(fine, 1, u), TorusLattice(1, 5))
 
 
+def _study_system(spec, prof, a, k, d=1):
+    """system(n) -> (params, u0) of the kernel and profile on side n."""
+    def system(n):
+        lat = TorusLattice(d, n)
+        return ModelParams(a, k, discretize(spec, lat)), profile_field(prof, lat)
+    return system
+
+
 def test_convergence_study_zero_kernel_noise_floor():
     prof = InitialProfile.cosine_simplex([0.5, 0.5], [0.1, -0.1], 1)
-    tab = convergence_study([4, 8, 16], KernelSpec.constant(0.0), prof,
-                            1.0, 1, 0.5, n_ref=64, h=0.01)
+    tab = convergence_study([4, 8, 16], _study_system(KernelSpec.constant(0.0), prof, 1.0, 1),
+                            0.5, n_ref=64, h=0.01)
     assert max(tab.errors) < 1e-10
     assert tab.fit is None
 
@@ -347,8 +355,8 @@ def test_convergence_study_first_order_in_one_dimension():
     # the zero-diagonal convolution omits J(x,x)u^k/n^d of kernel mass, so
     # same-convention runs converge first order toward the reference in d=1
     prof = InitialProfile.cosine_simplex([0.4, 0.35, 0.25], [0.1, -0.04, -0.06], 1)
-    tab = convergence_study([16, 32, 64], KernelSpec.cosine(0.5), prof,
-                            1.0, 2, 1.0, n_ref=256, h=0.02)
+    tab = convergence_study([16, 32, 64], _study_system(KernelSpec.cosine(0.5), prof, 1.0, 2),
+                            1.0, n_ref=256, h=0.02)
     assert tab.fit is not None
     assert -1.35 < tab.fit.slope < -0.95
 
@@ -432,21 +440,19 @@ def test_convergence_study_holds_no_trajectory():
     prof = InitialProfile.cosine_simplex([0.4, 0.35, 0.25], [0.1, -0.04, -0.06], 1)
     tracemalloc.start()
     try:
-        table = convergence_study([8, 16, 32], KernelSpec.cosine(0.5, d=2), prof,
-                                  1.0, 2, 1.0, n_ref=64, d=2, h=0.01)
+        system = _study_system(KernelSpec.cosine(0.5, d=2), prof, 1.0, 2, d=2)
+        table = convergence_study([8, 16, 32], system, 1.0, n_ref=64, h=0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4e6, peak
     assert table.ode["steps"] == 4 * 100
-    assert table.engines == {8: "factors", 16: "factors", 32: "factors", 64: "factors"}
 
 
 def test_convergence_study_requires_divisible_sizes():
     prof = InitialProfile.cosine_simplex([0.5, 0.5], [0.1, -0.1], 1)
+    system = _study_system(KernelSpec.constant(1.0), prof, 1.0, 1)
     with pytest.raises(ValueError, match="divide"):
-        convergence_study([5, 8, 16], KernelSpec.constant(1.0), prof,
-                          1.0, 1, 0.2, n_ref=64, h=0.01)
+        convergence_study([5, 8, 16], system, 0.2, n_ref=64, h=0.01)
     with pytest.raises(ValueError, match="3 lattice sizes"):
-        convergence_study([8, 16], KernelSpec.constant(1.0), prof,
-                          1.0, 1, 0.2, n_ref=64, h=0.01)
+        convergence_study([8, 16], system, 0.2, n_ref=64, h=0.01)

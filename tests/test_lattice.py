@@ -37,11 +37,11 @@ def test_cosine_kernel_symmetric_circulant_zero_diagonal():
 def test_discretize_rejects_negative_and_nonfinite():
     lat = TorusLattice(1, 4)
     bad_neg = KernelSpec("bad", {}, lambda x, y: np.full(np.broadcast_shapes(
-        x.shape[:-1], y.shape[:-1]), -1.0), 1.0, 1.0)
+        x.shape[:-1], y.shape[:-1]), -1.0))
     with pytest.raises(ValueError, match="negative"):
         discretize(bad_neg, lat)
     bad_nan = KernelSpec("bad", {}, lambda x, y: np.full(np.broadcast_shapes(
-        x.shape[:-1], y.shape[:-1]), np.nan), 1.0, 1.0)
+        x.shape[:-1], y.shape[:-1]), np.nan))
     with pytest.raises(ValueError, match="non-finite"):
         discretize(bad_nan, lat)
 
@@ -68,7 +68,7 @@ def _asymmetric_kernel():
         r = x - y - np.round(x - y)
         return np.prod(1.0 + 0.5 * np.cos(2 * np.pi * r) + 0.3 * np.sin(2 * np.pi * r),
                        axis=-1)
-    return KernelSpec("skew", {}, ev, 1.8, 1.0)
+    return KernelSpec("skew", {}, ev)
 
 
 # lattices of at most 64 sites and of more than 512, so the window gather
@@ -228,7 +228,7 @@ def test_gaussian_kernel_mass_and_positivity():
     # lattice row means approximate the continuum mass c up to the diagonal hole
     row_means = kern.matrix.sum(axis=1) / lat.n_sites
     assert np.max(np.abs(row_means - 1.5)) < 0.12
-    assert kern.norm_1n <= spec.norm_l1 + 1e-12
+    assert kern.norm_1n <= 1.5 + 1e-12
 
 
 def test_shift_permutation_translation():
