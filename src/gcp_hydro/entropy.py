@@ -17,10 +17,14 @@ in a rotated layout in which their digits vary slowest.  A site's jump
 intensity is a sum over the other sites, so the operator stores it as two
 half-lattice tables of about sqrt(S) entries per site, one over the sites
 below the split and one over the rest, and adds them into a buffer where a
-site's flux is formed.  ``apply`` reuses buffers allocated with the
-operator, so stepping the law allocates nothing per site.  Site marginals
-come from two passes: the row sums of the law and of its rotation, each
-viewed with a row per configuration of the sites that vary slowest.
+site's flux is formed.  ``apply`` works in buffers allocated with the
+operator and writes into the caller's array, and ``law_steps`` steps in four
+laws held for the whole solve, so stepping the law allocates nothing after
+the first step.  The functionals read the law as the matrix
+P[sigma div L, sigma mod L], L = (k+1)^split: its row and column sums are
+the laws of the two halves, which give the site marginals, and the
+production's intensity moments are two matrix products of P with the half
+tables.  The product measure is grown in place in a buffer the caller holds.
 """
 
 from __future__ import annotations
@@ -61,16 +65,13 @@ class StateSpace:
             digits[:, x].reshape(-1, self.k + 1, stride)[...] = np.arange(self.k + 1)[:, None]
         return digits
 
-    def rotate(self, a, out=None) -> np.ndarray:
-        """A law re-indexed with sites split..N-1 varying fastest, written to
-        out (a new array when None)."""
-        out = np.empty(a.size) if out is None else out
+    def rotate(self, a, out) -> np.ndarray:
+        """A law re-indexed with sites split..N-1 varying fastest, written to out."""
         out.reshape(self._low, -1)[...] = a.reshape(-1, self._low).T
         return out
 
-    def unrotate(self, a, out=None) -> np.ndarray:
+    def unrotate(self, a, out) -> np.ndarray:
         """Inverse of ``rotate``."""
-        out = np.empty(a.size) if out is None else out
         out.reshape(-1, self._low)[...] = a.reshape(self._low, -1).T
         return out
 
@@ -98,24 +99,29 @@ class StateSpace:
         return (self.digits.astype(np.int64) @ new_strides).astype(np.int64)
 
 
-def _clamp_law(law, atol=1e-9):
-    """validate_law, also returning the negative mass it clamped to zero."""
-    law = np.asarray(law, dtype=float)
+def _clamp_law(law, atol=1e-9) -> float:
+    """validate_law in place on a float array: returns the negative mass it
+    clamped to zero."""
     low = np.min(law)
     if low < -1e-12:
         raise ValueError(f"law has negative mass {low:.3e} beyond tolerance")
     clamped = 0.0
     if low < 0.0:
         clamped = -float(np.sum(law[law < 0.0]))
-        law = np.maximum(law, 0.0)
+        np.maximum(law, 0.0, out=law)
     if abs(law.sum() - 1.0) > atol:
         raise ValueError(f"law mass {law.sum()} deviates from 1 beyond {atol}")
-    return law, clamped
+    return clamped
 
 
 def validate_law(law, atol=1e-9) -> np.ndarray:
-    """Clamp tiny negative mass and check normalization."""
-    return _clamp_law(law, atol)[0]
+    """Clamp tiny negative mass and check normalization: law itself when it
+    has no negative entry, else a clamped copy."""
+    law = np.asarray(law, dtype=float)
+    if np.min(law) < 0.0:
+        law = law.copy()
+    _clamp_law(law, atol)
+    return law
 
 
 def profile_prob(sigma, u: DensityField) -> float:
@@ -128,28 +134,38 @@ def profile_prob(sigma, u: DensityField) -> float:
     return float(np.prod(factors))
 
 
-def profile_law(u: DensityField, space: StateSpace) -> np.ndarray:
-    """The full product measure over the enumerated configurations.
+def profile_law(u: DensityField, space: StateSpace, out=None) -> np.ndarray:
+    """The full product measure over the enumerated configurations, written
+    to out (a new array when None).
 
-    Built as the Kronecker product u_{N-1} x ... x u_0, site 0 fastest.
+    Built as the Kronecker product u_{N-1} x ... x u_0, site 0 fastest, and
+    grown in place: the product over sites 0..x-1 fills the head of out,
+    and site x's factors scale it into the blocks above it, then the head.
     """
     uu = u.u
     if np.min(uu) <= 0.0:
         raise ValueError("profile measure needs strictly positive marginals")
-    out = uu[0].copy()
+    out = np.empty(space.size) if out is None else out
+    size = space.k + 1
+    out[:size] = uu[0]
     for x in range(1, space.lattice.n_sites):
-        out = np.multiply.outer(uu[x], out).ravel()
+        head = out[:size]
+        for i in range(space.k, 0, -1):
+            np.multiply(uu[x, i], head, out=out[i * size:(i + 1) * size])
+        head *= uu[x, 0]
+        size *= space.k + 1
     return out
 
 
-def relative_entropy(law, u: DensityField, space: StateSpace) -> float:
+def relative_entropy(law, u: DensityField, space: StateSpace, out=None) -> float:
     """sum law * log(law / mu) against the product measure of u, with 0 log 0 = 0.
 
-    The quotient, its log and the product are formed in place in mu's array
-    (in the compressed arrays when the law has zero-mass states).
+    mu is built in out (a new array when None), other than law, and the
+    quotient, its log and the product are formed in place in it (in the
+    compressed arrays when the law has zero-mass states).
     """
     law = validate_law(law)
-    mu = profile_law(u, space)
+    mu = profile_law(u, space, out)
     if law.min() <= 0.0:
         support = law > 0.0
         law, mu = law[support], mu[support]
@@ -234,19 +250,12 @@ class MasterOperator:
         np.add(slow.reshape(-1, k + 1, runs)[:, :k, :, None], fast, out=out)
         return out.reshape(-1, k, runs * fast.size)
 
-    def _flux(self, x, src) -> np.ndarray:
-        """intensity_x times src, a law in the ``site_shape(x)`` view, on its
-        sigma_x < k block, in the workspace's flux buffer."""
-        flux = self._intensity(x)
-        return np.multiply(flux, src[:, :self.space.k], out=flux)
-
-    def apply(self, law) -> np.ndarray:
-        """The generator applied to law, as a new array; law must not be one
-        of the ``workspace`` buffers."""
+    def apply(self, law, out) -> np.ndarray:
+        """The generator applied to law, written to out and returned; out
+        and law are distinct, and neither is one of the ``workspace`` buffers."""
         self.applies += 1
         space, k = self.space, self.space.k
         law = np.asarray(law, dtype=float)
-        out = np.empty(space.size)
         rot, a_law, a_rot, out_rot, _ = self.workspace
         layouts = (space.rotate(law, out=rot), law)
         a_layouts = (np.multiply(rot, self.params.a, out=a_rot),
@@ -261,7 +270,8 @@ class MasterOperator:
                 natural, shape = x >= space.split, space.site_shape(x)
                 src = layouts[natural].reshape(shape)
                 ov = sums[natural].reshape(shape)
-                ov[:, 1:] += self._flux(x, src)
+                flux = self._intensity(x)
+                ov[:, 1:] += np.multiply(flux, src[:, :k], out=flux)
                 ov[:, 0] += a_layouts[natural].reshape(shape)[:, k]
         out -= np.multiply(self.exit_rate, law, out=a_law)
         return out
@@ -279,17 +289,21 @@ class LawTrajectory:
 def law_steps(initial, op: MasterOperator, t_end, h):
     """RK4 on the forward equation, yielding (law, clamped mass) per grid time.
 
-    Only the current law is kept, so a caller that evaluates each grid time
-    as it comes never holds the (T+1, S) trajectory; the initial law is let
-    go once it is stepped, unless the caller keeps it.
+    The march holds four laws for the whole solve: ``rk4_step``'s two
+    states, which swap, its stage and one stage's rate.  A yielded law stays
+    valid until the next one is drawn, so a caller keeps a copy of any law
+    it needs later, and a caller that evaluates each grid time as it comes
+    never holds the (T+1, S) trajectory.  The initial law is copied and
+    left alone.
     """
     times, h = _grid(t_end, h)
-    law, clamped = _clamp_law(initial)
+    law = np.array(initial, dtype=float)
     del initial
-    yield law, clamped
+    yield law, _clamp_law(law)
+    nxt, stage, dlaw = (np.empty(op.space.size) for _ in range(3))
     for _ in times[1:]:
-        law, clamped = _clamp_law(rk4_step(lambda c, v: op.apply(v), law, h))
-        yield law, clamped
+        law, nxt = rk4_step(lambda c, v, dv: op.apply(v, dv), law, h, nxt, stage, dlaw), law
+        yield law, _clamp_law(law)
 
 
 def master_evolve(initial, params: ModelParams, space: StateSpace, t_end, h) -> LawTrajectory:
@@ -301,21 +315,35 @@ def master_evolve(initial, params: ModelParams, space: StateSpace, t_end, h) -> 
     return LawTrajectory(times, out)
 
 
-def site_state_marginals(law, space: StateSpace, rotated=None) -> np.ndarray:
-    """(N, k+1) matrix of P(sigma_x = i) under the given law.
-
-    Two passes: the row sums of the law viewed as ``(-1, (k+1)^split)`` are
-    the law of the sites from split on, and those of the rotated law (given,
-    or rotated here) the law of the sites below split; each site's marginal
-    is read from whichever small law holds it.  Row sums are pairwise sums.
-    """
-    law = np.asarray(law, dtype=float)
-    rotated = space.rotate(law) if rotated is None else rotated
-    parts = (law.reshape(-1, space._low).sum(axis=1),
-             rotated.reshape(space._low, -1).sum(axis=1))
+def _site_digit_sums(low_rows, high_rows, space: StateSpace) -> np.ndarray:
+    """(N, k+1): for each site x and digit i, the sum of a per-site row over
+    the half-configurations in which sigma_x = i.  Row x of low_rows, over
+    the (k+1)^split configurations of the sites below split, serves those
+    sites; row x - split of high_rows, over the configurations of the rest,
+    serves the others; a single row serves every site of its half.  Each
+    sum is a pairwise sum of a reshaped row."""
+    k, split, n_sites = space.k, space.split, space.lattice.n_sites
+    low_rows = np.broadcast_to(low_rows, (split, space._low))
+    high_rows = np.broadcast_to(high_rows, (n_sites - split, space.size // space._low))
     strides = (space.strides // space._low, space.strides)
-    return np.stack([parts[x < space.split].reshape(-1, space.k + 1, strides[x < space.split][x])
-                     .sum(axis=(0, 2)) for x in range(space.lattice.n_sites)])
+    return np.stack([(low_rows[x] if x < split else high_rows[x - split])
+                     .reshape(-1, k + 1, strides[x < split][x]).sum(axis=(0, 2))
+                     for x in range(n_sites)])
+
+
+def _law_matrix(law, space: StateSpace):
+    """The law as the matrix P[sigma div L, sigma mod L], L = (k+1)^split,
+    with its row sums (the law of the sites from split on) and column sums
+    (that of the sites below it)."""
+    P = np.asarray(law, dtype=float).reshape(-1, space._low)
+    return P, P.sum(axis=1), P.sum(axis=0)
+
+
+def site_state_marginals(law, space: StateSpace) -> np.ndarray:
+    """(N, k+1) matrix of P(sigma_x = i) under the given law, read from the
+    row and column sums of the law's matrix (``_law_matrix``)."""
+    _, rows, cols = _law_matrix(law, space)
+    return _site_digit_sums(cols, rows, space)
 
 
 # -- production functional ---------------------------------------------------
@@ -400,33 +428,30 @@ def F_direct_all(space: StateSpace, u: DensityField, dudt, params: ModelParams) 
 
 
 def production_expectation(law, u: DensityField, op: MasterOperator) -> float:
-    """E_law of the closed production functional, from site marginals.
+    """E_law of the closed production functional, from two contractions.
 
     With h_x(i) = g_x(i) - sum_j g_x(j) u_x(j) and c = (J/N) u^k the closed
     form is sum_x h_x(sigma_x) (intensity_x - c_x), so its expectation is
     sum_{x,i} h_x(i) (Q[x, i] - c_x P(sigma_x = i)) with
-    Q[x, i] = E[1{sigma_x = i} intensity_x].  Q[x, i < k] is the operator's flux
-    of site x, formed in its workspace, summed pairwise; since
-    E[intensity_x] = ((J/N) P(sigma = k))_x, Q[x, k] is that minus the sum
-    of Q[x, i < k].
+    Q[x, i] = E[1{sigma_x = i} intensity_x].  In the law's matrix
+    P[r, l] (``_law_matrix``) intensity_x is low_x[l] + high_x[r], so for a
+    site from split on, whose digit is read from r, Q[x, i] is a sum over
+    its digit's rows of high_x rowsum(P) + (P low_x^T), and for a site below
+    split one over its digit's columns of low_x colsum(P) + (high_x P).
+    Neither a law-sized flux nor a rotation is formed.
     """
     uu = u.u
     if np.min(uu) <= 0.0:
         raise ValueError("closed-form production needs strictly positive marginals")
-    space, k = op.space, op.space.k
-    n_sites = space.lattice.n_sites
-    law = np.asarray(law, dtype=float)
-    layouts = (space.rotate(law, out=op.workspace[0]), law)
+    space, k, split = op.space, op.space.k, op.space.split
+    P, rows, cols = _law_matrix(law, space)
     g = _g_table(u)
     h = g - np.sum(g * uu, axis=1)[:, None]
-    J = op.J
-    c = J @ uu[:, k]
-    p = site_state_marginals(law, space, layouts[0])
-    q = np.empty_like(uu)
-    for x in range(n_sites):
-        src = layouts[x >= space.split].reshape(space.site_shape(x))
-        q[x, :k] = op._flux(x, src).sum(axis=(0, 2))
-    q[:, k] = J @ p[:, k] - q[:, :k].sum(axis=1)
+    c = op.J @ uu[:, k]
+    low, high = op.low, op.high
+    q = _site_digit_sums(low[:split] * cols + high[:split] @ P,
+                         high[split:] * rows + low[split:] @ P.T, space)
+    p = _site_digit_sums(cols, rows, space)
     return float(np.sum(h * (q - c[:, None] * p)))
 
 
@@ -491,7 +516,9 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h) ->
     The law of the process and the density trajectory are integrated with the
     same step and scheme so the finite-difference entropy derivative and the
     exactly evaluated right-hand side carry matched truncation errors.  Each
-    grid time is evaluated as the law reaches it; no law trajectory is kept.
+    grid time is evaluated as the law reaches it; no law trajectory is kept,
+    and the product measure is built in an operator workspace buffer, which
+    ``apply`` leaves free between steps.
     """
     clock = perf_counter()
     traj = integrate(u0, params, t_end, h=h)
@@ -513,7 +540,7 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h) ->
         mark = perf_counter()
         walls["law_stepping"] += mark - clock
         u_i = DensityField(params.lattice, params.k, traj.u[i])
-        entropy[i] = relative_entropy(law, u_i, space)
+        entropy[i] = relative_entropy(law, u_i, space, op.workspace[0])
         rhs[i] = production_expectation(law, u_i, op)
         clamped += removed
         clock = perf_counter()

@@ -261,8 +261,7 @@ def validate(cfg) -> list:
         v.append("k: threshold state must be an integer >= 1")
     if not _is_number(cfg.get("a")) or not cfg["a"] > 0:
         v.append("a: recovery rate must be > 0")
-    spec = _built(v, "kernel", lambda: KernelSpec.from_config(cfg.get("kernel", {}),
-                                                              d=cfg.get("d", 1)))
+    spec = _built(v, "kernel", lambda: KernelSpec.from_config(cfg.get("kernel", {})))
     profile = _built(v, "profile", lambda: InitialProfile.from_config(cfg.get("profile", {})))
     if profile is not None:
         if profile.k != k:
@@ -323,7 +322,7 @@ def validate(cfg) -> list:
 def _system(cfg, n):
     """(params, u0): the dynamics and the initial density on the lattice of side n."""
     lattice = TorusLattice(cfg["d"], n)
-    spec = KernelSpec.from_config(cfg["kernel"], d=cfg["d"])
+    spec = KernelSpec.from_config(cfg["kernel"])
     params = ModelParams(cfg["a"], cfg["k"], discretize(spec, lattice))
     return params, profile_field(InitialProfile.from_config(cfg["profile"]), lattice)
 
@@ -598,7 +597,7 @@ def run(cfg, out_dir) -> RunResult:
     started = time.perf_counter()
     passed, payloads, summary, metrics = _RUNNERS[cfg["experiment"]](cfg)
     if "kernel" in cfg:
-        engine = KernelSpec.from_config(cfg["kernel"], d=cfg["d"]).engine
+        engine = KernelSpec.from_config(cfg["kernel"]).engine
         sides = list(cfg["n_list"]) + ([cfg["n_ref"]] if "n_ref" in cfg else [])
         metrics["kernel"] = {"engine": {str(n): engine for n in sides}}
     passed = None if passed is None else bool(passed)

@@ -18,11 +18,12 @@ keeps only the last.
 Both flows compute state-major.  A density is (N, k+1), so in C order its
 fast axis has k+1 entries and every per-state operation would run k+1
 elements at a time; ``drift`` and ``backward_drift`` work instead on the
-(k+1, N) rows V = u.T, each contiguous, and return the transpose of what
-they compute.  ``density_steps`` and ``backward_fp`` keep their states in
-that layout (Fortran order as (N, k+1)), so the RK4 step, the checks and
-the renormalization run over contiguous rows too.  The layout stays inside
-this module: ``Trajectory.u`` and ``final_density``'s field are C-ordered.
+(k+1, N) rows V = u.T, each contiguous, and write what they compute into
+the rows of the caller's buffer.  ``density_steps`` and ``backward_fp`` keep
+their states in that layout (Fortran order as (N, k+1)), so the RK4 step,
+the checks and the renormalization run over contiguous rows too, and step in
+buffers held for the whole solve.  The layout stays inside this module:
+``Trajectory.u`` and ``final_density``'s field are C-ordered.
 """
 
 from __future__ import annotations
@@ -141,37 +142,41 @@ def _rows(u) -> np.ndarray:
                                            dtype=float).T)
 
 
-def drift(u, params: ModelParams) -> np.ndarray:
+def drift(u, params: ModelParams, out=None) -> np.ndarray:
     """Right-hand side A u_x + (J^n * u^k)_x M u_x, per site, as (N, k+1).
 
     Computed on the rows V = u.T as M V scaled by conv(V[k]), plus A V; the
     result is the transpose of those rows, so its bytes do not depend on the
-    layout of u.
+    layout of u.  It is written to out, an (N, k+1) array in the solvers'
+    layout other than u, and returned (a new array when out is None).
     """
     V = _rows(u)
-    out = params.M @ V
-    out *= params.kernel.conv(V[params.k])
-    out += params.A @ V
-    if not np.all(np.isfinite(out)):
+    rows = np.empty_like(V) if out is None else out.T
+    np.matmul(params.M, V, out=rows)
+    rows *= params.kernel.conv(V[params.k])
+    rows += params.A @ V
+    if not np.all(np.isfinite(rows)):
         raise ValueError("drift produced non-finite values")
-    return out.T
+    return rows.T
 
 
-def backward_drift(g, u, params: ModelParams) -> np.ndarray:
+def backward_drift(g, u, params: ModelParams, out=None) -> np.ndarray:
     """Right-hand side of the adjoint flow at the forward state u, per site:
 
         ds g = -(A* g + (J^n * u^k) M* g + (J^n* * <g, M u>) e_k),
 
-    as (N, k+1), computed on the rows of g and u like ``drift``.
+    as (N, k+1), computed on the rows of g and u and written to out like
+    ``drift``.
     """
     G, V = _rows(g), _rows(u)
     kern, k = params.kernel, params.k
-    out = params.M.T @ G
-    out *= kern.conv(V[k])
-    out += params.A.T @ G
-    out[k] += kern.conv_adjoint(np.sum(G * (params.M @ V), axis=0))
-    np.negative(out, out=out)
-    return out.T
+    rows = np.empty_like(G) if out is None else out.T
+    np.matmul(params.M.T, G, out=rows)
+    rows *= kern.conv(V[k])
+    rows += params.A.T @ G
+    rows[k] += kern.conv_adjoint(np.sum(G * (params.M @ V), axis=0))
+    np.negative(rows, out=rows)
+    return rows.T
 
 
 def _grid(t_end, h):
@@ -194,30 +199,34 @@ def grid_index(times, t) -> int:
     return i
 
 
-def rk4_step(rate, y, h):
-    """One classical RK4 step of dy/dt = rate(c, y) from y over a step h.
+def rk4_step(rate, y, h, out, stage, dy):
+    """One classical RK4 step from y over a step h, written to out and returned.
 
-    c in {0, 1/2, 1} is the stage's fraction of the step, for a rate whose
-    coefficients are known at those nodes only.  A negative h marches backward.
+    ``rate(c, v, dv)`` writes the derivative at v into dv, an array other
+    than v; c in {0, 1/2, 1} is the stage's fraction of the step, for a rate
+    whose coefficients are known at those nodes only.  A negative h marches
+    backward.
 
-    The rate must return a fresh array, which the step may overwrite; y is
-    left unchanged.  The step holds one accumulator and one stage buffer and
-    forms y + (h/6)(k1 + 2 k2 + 2 k3 + k4) with the textbook expression's
+    out accumulates the step, stage holds the stage's state and dy one
+    stage's rate; all three are arrays of y's shape and layout, distinct
+    from y and from each other, and y is left unchanged.  The step forms
+    y + (h/6)(k1 + 2 k2 + 2 k3 + k4) with the textbook expression's
     operations in its order, so its bytes are that expression's.
     """
-    acc = rate(0.0, y)                              # k1
-    stage = np.multiply(acc, 0.5 * h)
+    rate(0.0, y, out)                               # k1
+    np.multiply(out, 0.5 * h, out=stage)
     stage += y
     for scale in (0.5 * h, h):                      # k2, then k3
-        k = rate(0.5, stage)
-        np.multiply(k, scale, out=stage)
+        rate(0.5, stage, dy)
+        np.multiply(dy, scale, out=stage)
         stage += y
-        k *= 2.0
-        acc += k
-    acc += rate(1.0, stage)                         # k4
-    acc *= h / 6.0
-    acc += y
-    return acc
+        dy *= 2.0
+        out += dy
+    rate(1.0, stage, dy)                            # k4
+    out += dy
+    out *= h / 6.0
+    out += y
+    return out
 
 
 def density_steps(u0: DensityField, params: ModelParams, t_end, h):
@@ -231,7 +240,10 @@ def density_steps(u0: DensityField, params: ModelParams, t_end, h):
     state.  Only the current state is kept, so a caller that reads each grid
     time as it comes, or only the last, never holds the (T+1, N, k+1)
     trajectory.  Each u is (N, k+1) in Fortran order, the solver's layout
-    (see the module docstring); the caller copies what it keeps.
+    (see the module docstring).  The march steps in four buffers held for
+    the whole solve (``rk4_step``'s two states, which swap, its stage and
+    its rate), so a yielded u stays valid until the next one is drawn; the
+    caller copies what it keeps.
     """
     u0.validate()
     if u0.k != params.k or u0.lattice != params.lattice:
@@ -239,8 +251,9 @@ def density_steps(u0: DensityField, params: ModelParams, t_end, h):
     times, h = _grid(t_end, h)
     u = u0.u.copy(order="F")
     yield u, False, float(np.min(u))
+    nxt, stage, du = (np.empty_like(u) for _ in range(3))
     for m in range(1, len(times)):
-        u = rk4_step(lambda c, v: drift(v, params), u, h)
+        u, nxt = rk4_step(lambda c, v, dv: drift(v, params, dv), u, h, nxt, stage, du), u
         if not np.all(np.isfinite(u)):
             raise ValueError(f"non-finite state at step {m}; reduce h")
         low = float(np.min(u))
@@ -357,7 +370,7 @@ def backward_fp(f_terminal, u_traj: Trajectory, params: ModelParams) -> Backward
     with the forward states at its nodes: u_{m+1} at the start, u_m at the
     end, and at the midpoint the cubic Hermite interpolant of the trajectory,
     which keeps the march fourth order.  The states and g are held in the
-    solvers' layout; ``g`` is returned C-ordered.
+    solvers' layout, g in ``rk4_step``'s buffers; ``g`` is returned C-ordered.
     """
     f = np.asarray(f_terminal, dtype=float)
     if f.shape != u_traj.u.shape[1:]:
@@ -370,14 +383,16 @@ def backward_fp(f_terminal, u_traj: Trajectory, params: ModelParams) -> Backward
     us = np.ascontiguousarray(u_traj.u.transpose(0, 2, 1)).transpose(0, 2, 1)
     du = np.empty_like(us)
     for m, u in enumerate(us):
-        du[m] = drift(u, params)
+        drift(u, params, out=du[m])
     out = np.empty(u_traj.u.shape)
     out[-1] = f
     g = f.copy(order="F")
+    nxt, stage, dg = (np.empty_like(g) for _ in range(3))
     for m in range(len(out) - 2, -1, -1):
         u0, u1 = us[m], us[m + 1]
         umid = 0.5 * (u0 + u1) + (h / 8.0) * (du[m] - du[m + 1])
         nodes = {0.0: u1, 0.5: umid, 1.0: u0}
-        g = rk4_step(lambda c, v: backward_drift(v, nodes[c], params), g, -h)
+        g, nxt = rk4_step(lambda c, v, dv: backward_drift(v, nodes[c], params, dv),
+                          g, -h, nxt, stage, dg), g
         out[m] = g
     return BackwardTestField(u_traj.lattice, u_traj.k, u_traj.times.copy(), out)

@@ -117,7 +117,7 @@ class KernelSpec:
                    features=lambda pts: (np.full((len(pts), 1), c), np.ones((len(pts), 1))))
 
     @classmethod
-    def cosine(cls, beta=0.5, d=1):
+    def cosine(cls, beta=0.5):
         """Product over coordinates of 1 + beta*cos(2 pi (x_i - y_i))."""
         beta = float(beta)
         if abs(beta) > 1:
@@ -140,7 +140,7 @@ class KernelSpec:
         return cls("cosine", {"beta": beta}, ev, features=features)
 
     @classmethod
-    def gaussian(cls, c=1.0, width=0.1, d=1):
+    def gaussian(cls, c=1.0, width=0.1):
         """Periodized Gaussian bump, normalized so the y-integral equals c."""
         c, width = float(c), float(width)
         if c < 0:
@@ -185,15 +185,15 @@ class KernelSpec:
         return cls.tabulated(table)
 
     @classmethod
-    def from_config(cls, cfg, d=1):
+    def from_config(cls, cfg):
         cfg = dict(cfg)
         name = cfg.pop("name", None)
         if name == "constant":
             return cls.constant(**cfg)
         if name == "cosine":
-            return cls.cosine(d=d, **cfg)
+            return cls.cosine(**cfg)
         if name == "gaussian":
-            return cls.gaussian(d=d, **cfg)
+            return cls.gaussian(**cfg)
         if name == "tabulated":
             if "path" in cfg:
                 return cls.from_table_csv(cfg["path"], int(cfg["n_sites"]))

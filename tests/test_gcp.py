@@ -340,10 +340,10 @@ def _factored_case(draw):
     if name == "constant":
         spec = KernelSpec.constant(draw(st.floats(0.01, 3.0)))
     elif name == "cosine":
-        spec = KernelSpec.cosine(draw(st.floats(-1.0, 1.0)), d=d)
+        spec = KernelSpec.cosine(draw(st.floats(-1.0, 1.0)))
     elif name == "gaussian":
         spec = KernelSpec.gaussian(c=draw(st.floats(0.1, 3.0)),
-                                   width=draw(st.floats(0.02, 0.2)), d=d)
+                                   width=draw(st.floats(0.02, 0.2)))
     else:  # non-symmetric, so a transposed factor shows
         spec = KernelSpec.tabulated(np.random.default_rng(seed).uniform(0.0, 3.0,
                                                                         (n ** d, n ** d)))

@@ -83,7 +83,7 @@ def _per_site_backward_drift(g, u, p):
 def test_both_drifts_match_their_per_site_forms_in_either_layout(kernel, d, n, k):
     # the state-major rows must give the per-site algebra, and the same bytes
     # for a C-ordered and a Fortran-ordered copy of one field
-    spec = KernelSpec.from_config({"name": kernel}, d=d)
+    spec = KernelSpec.from_config({"name": kernel})
     p = _params(n=n, k=k, a=1.3, kernel=spec, d=d)
     rng = np.random.default_rng(k * n + d)
     u = rng.uniform(0.05, 1.0, (n ** d, k + 1))
@@ -148,7 +148,12 @@ def test_rk4_order_on_logistic():
     assert 10.0 < e1 / e2 < 22.0
 
 
-def _textbook_rk4(rate, y, h):
+def _textbook_rk4(rate_into, y, h):
+    def rate(c, v):
+        out = np.empty_like(v)
+        rate_into(c, v, out)
+        return out
+
     k1 = rate(0.0, y)
     k2 = rate(0.5, y + 0.5 * h * k1)
     k3 = rate(0.5, y + 0.5 * h * k2)
@@ -158,15 +163,16 @@ def _textbook_rk4(rate, y, h):
 
 @pytest.mark.parametrize("flow", ["drift", "backward", "master"])
 def test_rk4_step_is_the_textbook_step_and_leaves_y_alone(flow, monkeypatch):
-    # rk4_step overwrites the arrays its rate returns and keeps one
-    # accumulator and one stage buffer; every step the three flows take must
-    # still be the textbook expression's bytes, with y untouched
+    # rk4_step works in the buffers its march holds (the next state, the
+    # stage and one stage's rate), which its rate writes into; every step the
+    # three flows take must still be the textbook expression's bytes, with y
+    # untouched
     step, steps = hydro.rk4_step, []
 
-    def checked(rate, y, h):
+    def checked(rate, y, h, out, stage, dy):
         before = y.copy()
-        got = step(rate, y, h)
-        assert y.tobytes() == before.tobytes()
+        got = step(rate, y, h, out, stage, dy)
+        assert got is out and y.tobytes() == before.tobytes()
         assert got.tobytes() == _textbook_rk4(rate, y, h).tobytes()
         steps.append(h)
         return got
@@ -397,7 +403,7 @@ def test_reference_self_consistency_second_order_in_two_dimensions():
     # in d=2 the diagonal defect scales as n^-2: doubling the reference side
     # shrinks the gap roughly fourfold
     prof = InitialProfile.cosine_simplex([0.5, 0.5], [0.15, -0.15], [1, 0])
-    spec = KernelSpec.cosine(0.5, d=2)
+    spec = KernelSpec.cosine(0.5)
     runs = {}
     for n in (8, 16, 32):
         lat = TorusLattice(2, n)
@@ -413,11 +419,13 @@ def test_density_steps_yield_integrate_rows_bit_for_bit():
     # per-site mass beyond MASS_TOL every other step or so, so some steps
     # renormalize and some do not; N = 576 convolves through the factors
     prof = InitialProfile.cosine_simplex([0.4, 0.35, 0.25], [0.1, -0.04, -0.06], [1, 0])
-    p = _params(n=24, k=2, kernel=KernelSpec.cosine(0.5, d=2), d=2)
+    p = _params(n=24, k=2, kernel=KernelSpec.cosine(0.5), d=2)
     p.A[0, p.k] *= 1.0 + 2e-7
     u0 = profile_field(prof, p.lattice)
     traj = integrate(u0, p, 0.5, h=0.01)
-    rows = list(density_steps(u0, p, 0.5, h=0.01))
+    # a yielded state is valid until the next one is drawn
+    rows = [(u.copy(), renormalized, low) for u, renormalized, low in
+            density_steps(u0, p, 0.5, h=0.01)]
     assert len(rows) == len(traj.times) == 51
     flags = [renormalized for _, renormalized, _ in rows]
     assert not flags[0] and 0 < sum(flags) < 50
@@ -440,7 +448,7 @@ def test_convergence_study_holds_no_trajectory():
     prof = InitialProfile.cosine_simplex([0.4, 0.35, 0.25], [0.1, -0.04, -0.06], 1)
     tracemalloc.start()
     try:
-        system = _study_system(KernelSpec.cosine(0.5, d=2), prof, 1.0, 2, d=2)
+        system = _study_system(KernelSpec.cosine(0.5), prof, 1.0, 2, d=2)
         table = convergence_study([8, 16, 32], system, 1.0, n_ref=64, h=0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -84,10 +84,10 @@ def _kernel_case(draw):
     n = draw(_SIDES[d])
     name = draw(st.sampled_from(["cosine", "gaussian", "constant", "skew"]))
     if name == "cosine":
-        spec = KernelSpec.cosine(draw(st.floats(-1.0, 1.0)), d=d)
+        spec = KernelSpec.cosine(draw(st.floats(-1.0, 1.0)))
     elif name == "gaussian":
         spec = KernelSpec.gaussian(c=draw(st.floats(0.1, 3.0)),
-                                   width=draw(st.floats(0.02, 0.2)), d=d)
+                                   width=draw(st.floats(0.02, 0.2)))
     elif name == "constant":
         spec = KernelSpec.constant(draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0))))
     else:
@@ -130,9 +130,9 @@ def _tabulated(d, n):
     return KernelSpec.tabulated(rng.uniform(size=(n ** d, n ** d)))
 
 
-@pytest.mark.parametrize("make", [lambda d, n: KernelSpec.cosine(0.5, d=d),
+@pytest.mark.parametrize("make", [lambda d, n: KernelSpec.cosine(0.5),
                                   lambda d, n: KernelSpec.constant(1.5),
-                                  lambda d, n: KernelSpec.gaussian(width=0.1, d=d),
+                                  lambda d, n: KernelSpec.gaussian(width=0.1),
                                   _tabulated],
                          ids=["cosine", "constant", "gaussian", "tabulated"])
 @pytest.mark.parametrize("d, n", [(1, 16), (1, 256), (2, 8), (2, 16)])
