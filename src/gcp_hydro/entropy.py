@@ -25,6 +25,17 @@ P[sigma div L, sigma mod L], L = (k+1)^split: its row and column sums are
 the laws of the two halves, which give the site marginals, and the
 production's intensity moments are two matrix products of P with the half
 tables.  The product measure is grown in place in a buffer the caller holds.
+
+A system whose kernel is circulant (a catalog kernel, any convolution engine
+but ``"dense"``) and whose initial density has equal rows has a law that
+stays invariant under the torus translations, with a density that stays
+homogeneous.  The report then steps the law on the translation orbits
+(``OrbitOperator``): about S/N orbit masses, a sparse generator with N
+entries per orbit, and functionals that read the density at site 0.  The
+orbit numbers come from the least index over all translations, each a
+transposed copy of the index array, so no digit table is built.  Both
+operators offer ``apply``, ``profile_law``, ``relative_entropy`` and
+``production_expectation``, and ``law_steps`` marches either.
 """
 
 from __future__ import annotations
@@ -157,15 +168,10 @@ def profile_law(u: DensityField, space: StateSpace, out=None) -> np.ndarray:
     return out
 
 
-def relative_entropy(law, u: DensityField, space: StateSpace, out=None) -> float:
-    """sum law * log(law / mu) against the product measure of u, with 0 log 0 = 0.
-
-    mu is built in out (a new array when None), other than law, and the
-    quotient, its log and the product are formed in place in it (in the
-    compressed arrays when the law has zero-mass states).
-    """
-    law = validate_law(law)
-    mu = profile_law(u, space, out)
+def _kl(law, mu) -> float:
+    """sum law * log(law / mu) with 0 log 0 = 0, for a validated law; the
+    quotient, its log and the product are formed in place in mu (in the
+    compressed arrays when the law has zero-mass entries)."""
     if law.min() <= 0.0:
         support = law > 0.0
         law, mu = law[support], mu[support]
@@ -174,6 +180,16 @@ def relative_entropy(law, u: DensityField, space: StateSpace, out=None) -> float
     np.divide(law, mu, out=mu)
     np.log(mu, out=mu)
     return float(np.sum(np.multiply(law, mu, out=mu)))
+
+
+def relative_entropy(law, u: DensityField, space: StateSpace, out=None) -> float:
+    """sum law * log(law / mu) against the product measure of u, with 0 log 0 = 0.
+
+    mu is built in out (a new array when None), other than law, and ``_kl``
+    forms the quotient, its log and the product in place in it.
+    """
+    law = validate_law(law)
+    return _kl(law, profile_law(u, space, out))
 
 
 class MasterOperator:
@@ -195,6 +211,8 @@ class MasterOperator:
     its site loop with the ufunc buffer size lowered to the shortest inner run
     of a site view, so that strided views are not copied through buffers.
     """
+
+    engine = "states"
 
     def __init__(self, space: StateSpace, params: ModelParams):
         if params.lattice != space.lattice or params.k != space.k:
@@ -276,6 +294,168 @@ class MasterOperator:
         out -= np.multiply(self.exit_rate, law, out=a_law)
         return out
 
+    def profile_law(self, u: DensityField) -> np.ndarray:
+        """``profile_law`` over every state, as a new array."""
+        return profile_law(u, self.space)
+
+    def relative_entropy(self, law, u: DensityField) -> float:
+        """``relative_entropy`` with mu built in a workspace buffer, which
+        ``apply`` leaves free between calls."""
+        return relative_entropy(law, u, self.space, self.workspace[0])
+
+    def production_expectation(self, law, u: DensityField) -> float:
+        """``production_expectation`` with this operator's half tables."""
+        return production_expectation(law, u, self)
+
+
+def _translate(index, space: StateSpace, axis) -> np.ndarray:
+    """index[t(s)] for every s, t a translation by one site along an axis.
+
+    Sites are row-major, so t rotates each block of n^(d-axis) consecutive
+    sites by n^(d-1-axis) sites.  Reshaped with two axes per block, one for
+    the digits of the block's top n^(d-1-axis) sites and one for the rest,
+    the index array is translated by swapping each pair: one transposed
+    copy, with no arithmetic on the indices."""
+    n, d, base = space.lattice.n, space.lattice.d, space.k + 1
+    block, step = n ** (d - axis), n ** (d - 1 - axis)
+    shape = (base ** (block - step), base ** step) * n ** axis
+    swap = np.arange(len(shape)).reshape(-1, 2)[:, ::-1].ravel()
+    return index.reshape(shape).transpose(swap).ravel()
+
+
+def translation_orbits(space: StateSpace):
+    """(orbit, reps, sizes): the orbit number of every index under the
+    lattice's translations, and each orbit's least index and size, the
+    orbits numbered in increasing order of their least index.
+
+    The least index over the n^d translations is taken by an odometer over
+    the axes, the last axis stepping fastest.  Any composition of
+    translations is one, so the direction each step takes does not matter.
+    The sizes are a count of the least indices, with no sort; three S-sized
+    index arrays are held at a time, and no digit table."""
+    n, d = space.lattice.n, space.lattice.d
+    index = np.arange(space.size, dtype=np.int64)
+    least = index.copy()
+    for count in range(1, space.lattice.n_sites):
+        axis = d - 1
+        index = _translate(index, space, axis)
+        while count % n ** (d - axis) == 0:   # this axis is back where it began
+            axis -= 1
+            index = _translate(index, space, axis)
+        np.minimum(least, index, out=least)
+    del index
+    sizes = np.bincount(least, minlength=space.size)
+    reps = np.flatnonzero(sizes)
+    sizes = sizes[reps]
+    number = np.empty(space.size, dtype=np.intp)
+    number[reps] = np.arange(len(reps))
+    return number[least], reps, sizes
+
+
+class OrbitOperator:
+    """Forward operator of a translation-invariant law, lumped on the
+    translation orbits of the configurations.
+
+    With a circulant kernel the generator commutes with the torus
+    translations, so a law that starts invariant stays invariant and is
+    exactly its orbit masses q(O), each spread evenly over the orbit.  The
+    lumped rate from orbit O into O' is the rate of the orbit's least
+    configuration rep_O into O' summed over its N sites, so the operator is
+    a sparse matrix with N entries per orbit, stored sorted by target:
+    ``apply`` gathers q at the sources, scales by the rates and sums each
+    target's run with ``np.add.reduceat``, then takes off exit * q.
+
+    The report's functionals need the density at one site only, as it stays
+    homogeneous: the product measure of orbit O is |O| prod_i u_i^C[O, i],
+    C[O, i] the number of sites of rep_O in state i, and the production's
+    intensity moments are W[O, i] = sum_x 1{rep_O,x = i} intensity_x(rep_O).
+    """
+
+    engine = "orbits"
+
+    def __init__(self, space: StateSpace, params: ModelParams):
+        if params.lattice != space.lattice or params.k != space.k:
+            raise ValueError("state space does not match model parameters")
+        if params.kernel.engine == "dense":
+            raise ValueError("the orbit engine needs a circulant (catalog) kernel")
+        self.space = space
+        self.applies = 0
+        n_sites, k = space.lattice.n_sites, space.k
+        orbit, self.reps, self.sizes = translation_orbits(space)
+        self.size = len(self.reps)
+        digits = self.reps[:, None] // space.strides % (k + 1)        # of the reps, (M, N)
+        J = params.kernel.matrix / n_sites
+        self.J0 = J[0]   # c reads site 0's row
+        rate = (digits == k) @ J.T                                   # the intensities
+        self.site_counts = np.stack([np.sum(digits == i, axis=1) for i in range(k + 1)], axis=1)
+        self.moments = np.stack([np.sum(rate, axis=1, where=digits == i)
+                                 for i in range(k + 1)], axis=1)
+        rate[digits == k] = params.a
+        self.exit_rate = rate.sum(axis=1)
+        target = np.where(digits < k, space.strides, -k * space.strides)
+        del digits
+        target += self.reps[:, None]
+        target = orbit[target].ravel()
+        del orbit
+        # sorted by target, each target's entries in a run; every orbit is
+        # entered from one (undo a jump of its rep, translate), so no run is
+        # empty, as reduceat needs
+        order = np.argsort(target, kind="stable")
+        runs = np.bincount(target, minlength=self.size)
+        del target
+        self._starts = np.cumsum(runs) - runs
+        self._rate = rate.ravel()[order]
+        del rate
+        order //= n_sites
+        self._source = order
+        # the flux entries, and the exit term or the product measure
+        self.workspace = (np.empty(len(order)), np.empty(self.size))
+
+    @property
+    def operator_bytes(self) -> int:
+        """Bytes of the orbit tables, the sparse generator and the workspace."""
+        return sum(a.nbytes for a in (self.reps, self.sizes, self.site_counts, self.moments,
+                                      self.J0, self.exit_rate, self._source, self._rate,
+                                      self._starts) + self.workspace)
+
+    def apply(self, law, out) -> np.ndarray:
+        """The lumped generator applied to an orbit law, written to out and
+        returned; out and law are distinct."""
+        self.applies += 1
+        flux, exits = self.workspace
+        np.take(law, self._source, out=flux, mode="clip")   # "raise" copies through a buffer
+        flux *= self._rate
+        np.add.reduceat(flux, self._starts, out=out)
+        out -= np.multiply(self.exit_rate, law, out=exits)
+        return out
+
+    def profile_law(self, u: DensityField, out=None) -> np.ndarray:
+        """The product measure of site 0's marginals, lumped on orbits."""
+        u0 = u.u[0]
+        if np.min(u0) <= 0.0:
+            raise ValueError("profile measure needs strictly positive marginals")
+        return np.multiply(self.sizes, np.prod(u0 ** self.site_counts, axis=1), out=out)
+
+    def relative_entropy(self, law, u: DensityField) -> float:
+        """The relative entropy of the law against the product measure: on
+        orbits, as both are even on each."""
+        law = validate_law(law)
+        return _kl(law, self.profile_law(u, self.workspace[1]))
+
+    def production_expectation(self, law, u: DensityField) -> float:
+        """E_law of the closed production functional, sum_O q(O) F(rep_O): with
+        h site 0's centred coefficients and c = (J/N u^k) at site 0,
+        F = sum_i h(i) (W[:, i] - c C[:, i]).  Forming F before the sum over
+        orbits keeps its terms small: summing q W and c q C apart, each about
+        N times a site's share, lost a digit to their cancellation."""
+        uu = u.u
+        if np.min(uu) <= 0.0:
+            raise ValueError("closed-form production needs strictly positive marginals")
+        g = _g_table(u)[0]
+        h = g - np.sum(g * uu[0])
+        c = self.J0 @ uu[:, self.space.k]
+        return float(np.asarray(law, dtype=float) @ ((self.moments - c * self.site_counts) @ h))
+
 
 @dataclass
 class LawTrajectory:
@@ -286,8 +466,9 @@ class LawTrajectory:
         return self.laws[grid_index(self.times, t)]
 
 
-def law_steps(initial, op: MasterOperator, t_end, h):
-    """RK4 on the forward equation, yielding (law, clamped mass) per grid time.
+def law_steps(initial, op, t_end, h):
+    """RK4 on the forward equation, yielding (law, clamped mass) per grid time,
+    for either operator (a law on states or on orbits).
 
     The march holds four laws for the whole solve: ``rk4_step``'s two
     states, which swap, its stage and one stage's rate.  A yielded law stays
@@ -300,7 +481,7 @@ def law_steps(initial, op: MasterOperator, t_end, h):
     law = np.array(initial, dtype=float)
     del initial
     yield law, _clamp_law(law)
-    nxt, stage, dlaw = (np.empty(op.space.size) for _ in range(3))
+    nxt, stage, dlaw = (np.empty_like(law) for _ in range(3))
     for _ in times[1:]:
         law, nxt = rk4_step(lambda c, v, dv: op.apply(v, dv), law, h, nxt, stage, dlaw), law
         yield law, _clamp_law(law)
@@ -516,17 +697,22 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h) ->
     The law of the process and the density trajectory are integrated with the
     same step and scheme so the finite-difference entropy derivative and the
     exactly evaluated right-hand side carry matched truncation errors.  Each
-    grid time is evaluated as the law reaches it; no law trajectory is kept,
-    and the product measure is built in an operator workspace buffer, which
-    ``apply`` leaves free between steps.
+    grid time is evaluated as the law reaches it; no law trajectory is kept.
+
+    The kernel and the initial density choose the engine: a catalog kernel
+    (circulant, any engine but ``"dense"``) and equal rows of u0 make the law
+    and the density translation invariant for all time, so the law is stepped
+    on orbits (``OrbitOperator``); any other system on every state
+    (``MasterOperator``).
     """
     clock = perf_counter()
     traj = integrate(u0, params, t_end, h=h)
     walls = {"density_solve": perf_counter() - clock}
     clock = perf_counter()
     space = StateSpace(params.lattice, params.k)
-    op = MasterOperator(space, params)
-    laws = law_steps(profile_law(u0, space), op, t_end, h)
+    invariant = params.kernel.engine != "dense" and np.all(u0.u == u0.u[0])
+    op = (OrbitOperator if invariant else MasterOperator)(space, params)
+    laws = law_steps(op.profile_law(u0), op, t_end, h)
     walls["operator_build"] = perf_counter() - clock
     m = len(traj.times)
     if len(_grid(t_end, h)[0]) != m:
@@ -540,8 +726,8 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h) ->
         mark = perf_counter()
         walls["law_stepping"] += mark - clock
         u_i = DensityField(params.lattice, params.k, traj.u[i])
-        entropy[i] = relative_entropy(law, u_i, space, op.workspace[0])
-        rhs[i] = production_expectation(law, u_i, op)
+        entropy[i] = op.relative_entropy(law, u_i)
+        rhs[i] = op.production_expectation(law, u_i)
         clamped += removed
         clock = perf_counter()
         walls["functionals"] += clock - mark
@@ -549,11 +735,11 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h) ->
     fd = np.gradient(entropy, step) if m > 1 else np.zeros(1)
     c = fit_envelope_constant(traj.times, entropy)
     envelope = double_exp_envelope(c, traj.times)
-    metrics = {
-        "entropy": {"states": space.size, "rk4_steps": m - 1,
-                    "master_applies": op.applies, "operator_bytes": op.operator_bytes,
-                    "clamped_mass": clamped,
-                    "stage_s": {name: round(s, 6) for name, s in walls.items()}},
-        "ode": traj.ode,
-    }
+    entropy_metrics = {"engine": op.engine, "states": space.size, "rk4_steps": m - 1,
+                       "master_applies": op.applies, "operator_bytes": op.operator_bytes,
+                       "clamped_mass": clamped,
+                       "stage_s": {name: round(s, 6) for name, s in walls.items()}}
+    if invariant:
+        entropy_metrics["orbits"] = op.size
+    metrics = {"entropy": entropy_metrics, "ode": traj.ode}
     return EntropyReport(traj.times.copy(), entropy, rhs, fd, envelope, c, step, metrics)

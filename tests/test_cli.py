@@ -480,9 +480,12 @@ def test_config_file_roundtrip_through_cli(tmp_path):
     assert meta["config"]["times"] == [0.0, 0.25]
 
 
-def test_entropy_exact_reports_engine_and_ode_counts(tmp_path):
-    rc = main(["entropy-exact", "--set", "n_list=[4]", "--set", "times=[0.1]",
-               "--set", "h=0.01", "--out", str(tmp_path / "e")])
+def _entropy_exact_metrics(tmp_path, *overrides):
+    """metrics.entropy and metrics.ode of a 10-step entropy-exact run at n = 4,
+    checked for what every engine reports."""
+    overrides = ("n_list=[4]", "times=[0.1]", "h=0.01") + overrides
+    rc = main(["entropy-exact", *(arg for o in overrides for arg in ("--set", o)),
+               "--out", str(tmp_path / "e")])
     assert rc == 0
     meta = json.loads((tmp_path / "e" / "run.json").read_text())
     assert meta["schema_version"] == 2
@@ -490,14 +493,28 @@ def test_entropy_exact_reports_engine_and_ode_counts(tmp_path):
     assert entropy["states"] == 16
     assert entropy["rk4_steps"] == 10
     assert entropy["master_applies"] == 4 * entropy["rk4_steps"]
+    assert entropy["operator_bytes"] > 0
     assert entropy["clamped_mass"] >= 0.0
     assert set(entropy["stage_s"]) == {"density_solve", "operator_build",
                                        "law_stepping", "functionals"}
     assert all(s >= 0.0 for s in entropy["stage_s"].values())
-    cfg = load_config("entropy-exact", None, ["n_list=[4]", "times=[0.1]", "h=0.01"])
+    cfg = load_config("entropy-exact", None, list(overrides))
     assert ode == {"steps": 10, "renormalizations": 0,
                    "min_component": _least_component(cfg, [4])}
     assert meta["metrics"]["kernel"] == {"engine": {"4": "factors"}}
+    return entropy
+
+
+def test_entropy_exact_reports_engine_and_ode_counts(tmp_path):
+    # the default config has a constant kernel and profile: 6 orbits of 16 states
+    entropy = _entropy_exact_metrics(tmp_path)
+    assert entropy["engine"] == "orbits" and entropy["orbits"] == 6
+
+
+def test_entropy_exact_at_a_varying_profile_steps_every_state(tmp_path):
+    entropy = _entropy_exact_metrics(tmp_path, 'profile={"name": "cosine-simplex", '
+                                     '"base": [0.5, 0.5], "delta": [0.2, -0.2]}')
+    assert entropy["engine"] == "states" and "orbits" not in entropy
 
 
 @pytest.mark.parametrize("kernel, sides, engines", [

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -7,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcp_hydro.entropy import (MasterOperator, StateSpace,
+from gcp_hydro.entropy import (MasterOperator, OrbitOperator, StateSpace,
                                F_closed, F_closed_all, F_direct, F_direct_all,
                                entropy_production_check, fit_envelope_constant,
                                law_steps, master_evolve, production_expectation, profile_law,
                                profile_prob, relative_entropy, site_state_marginals,
-                               double_exp_envelope, validate_law)
+                               double_exp_envelope, translation_orbits, validate_law)
 from gcp_hydro.experiments import _system, load_config, run
 from gcp_hydro.hydro import DensityField, ModelParams, drift, integrate
 from gcp_hydro.lattice import DiscreteKernel, KernelSpec, TorusLattice, discretize
@@ -281,7 +282,11 @@ def test_entropy_report_streams_what_master_evolve_collects():
 
 @pytest.mark.parametrize("n, k", [(1, 1), (7, 1), (4, 2), (3, 3)])
 def test_operator_bytes_counts_table_exit_rates_and_workspace(n, k):
-    p = _params(n=n, k=k, kernel=KernelSpec.cosine(0.5) if n > 1 else None)
+    # the report runs this operator at a profile that varies over the sites;
+    # one site has no such profile, so there a tabulated kernel keeps it on
+    # every state
+    p = _params(n=n, k=k, kernel=KernelSpec.cosine(0.5) if n > 1
+                else KernelSpec.tabulated(np.zeros((1, 1))))
     op = MasterOperator(StateSpace(p.lattice, k), p)
     arrays = (op.low, op.high, op.exit_rate) + op.workspace
     assert op.operator_bytes == sum(a.nbytes for a in arrays)
@@ -290,8 +295,28 @@ def test_operator_bytes_counts_table_exit_rates_and_workspace(n, k):
     size, low = (k + 1) ** n, (k + 1) ** (n // 2)
     assert op.low.shape == (n, low) and op.high.shape == (n, size // low)
     assert op.operator_bytes == 8 * (n * (low + size // low) + 5 * size + size // (k + 1) * k)
-    rep = entropy_production_check(p, DensityField(p.lattice, k, np.full((n, k + 1), 1 / (k + 1))),
+    rep = entropy_production_check(p, _random_field(p, np.random.default_rng(n), lo=0.3),
                                    0.02, 0.01)
+    assert rep.metrics["entropy"]["engine"] == "states"
+    assert rep.metrics["entropy"]["operator_bytes"] == op.operator_bytes
+
+
+@pytest.mark.parametrize("d, n, k", [(1, 1, 1), (1, 7, 1), (1, 4, 2), (2, 3, 1)])
+def test_orbit_operator_bytes_count_its_tables_generator_and_workspace(d, n, k):
+    p = _params(n=n, k=k, d=d, kernel=KernelSpec.cosine(0.5))
+    op = OrbitOperator(StateSpace(p.lattice, k), p)
+    arrays = (op.reps, op.sizes, op.site_counts, op.moments, op.J0, op.exit_rate,
+              op._source, op._rate, op._starts) + op.workspace
+    assert op.operator_bytes == sum(a.nbytes for a in arrays)
+    # per orbit its rep, size, exit rate, run start and exit buffer, two
+    # (k+1)-tables, and N generator entries (source, rate, flux buffer);
+    # site 0's kernel row
+    m, n_sites = op.size, n ** d
+    assert op.operator_bytes == 8 * (5 * m + 2 * m * (k + 1) + 3 * m * n_sites + n_sites)
+    u0 = DensityField(p.lattice, k, np.full((n_sites, k + 1), 1 / (k + 1)))
+    rep = entropy_production_check(p, u0, 0.02, 0.01)
+    assert rep.metrics["entropy"]["engine"] == "orbits"
+    assert rep.metrics["entropy"]["orbits"] == m
     assert rep.metrics["entropy"]["operator_bytes"] == op.operator_bytes
 
 
@@ -303,25 +328,54 @@ def test_operator_at_the_state_cap_stores_no_law_sized_table():
     assert op.operator_bytes < 48e6
 
 
+def _cosine_field(params, base, delta):
+    """base + delta cos(2 pi x / n) at every site: a profile that varies over
+    the sites, so the report steps the law on every state."""
+    x = np.arange(params.lattice.n_sites) / params.lattice.n_sites
+    return DensityField(params.lattice, params.k,
+                        np.asarray(base) + np.outer(np.cos(2 * np.pi * x), delta))
+
+
 def test_entropy_report_peak_memory_in_laws():
     # the report keeps the operator (exit rates, four workspace laws and a
     # half-law flux buffer), the march's four laws (two states, the RK4 stage
     # and one stage's rate) and what one functional needs at a time, which
-    # builds the product measure in a workspace buffer: 10.05 laws measured,
+    # builds the product measure in a workspace buffer: 10.03 laws measured,
     # bounded here with one law to spare.  A march whose rate returned a
     # fresh law, with the measure built anew at each grid time, peaked at
     # 10.8; an RK4 step that kept every stage, with an (N, S/2) intensity
     # table, at 21.6
     p = _params(n=14, k=1, kernel=KernelSpec.cosine(0.5))
+    u0 = _cosine_field(p, [0.6, 0.4], [0.1, -0.1])
+    law_bytes = 8 * 2 ** 14
+    tracemalloc.start()
+    try:
+        rep = entropy_production_check(p, u0, 0.05, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.metrics["entropy"]["engine"] == "states"
+    assert peak <= 11 * law_bytes, peak / law_bytes
+
+
+def test_orbit_report_peak_memory_in_laws():
+    # at a constant profile the peak is the orbit build: three S-sized index
+    # arrays for the orbit numbers, then about N entries per orbit (the
+    # reps' digits, their rates and jump targets, the sort order).  5.7 laws
+    # of S doubles measured, bounded with one to spare; the operator keeps
+    # 3.7 (three N-entry arrays per orbit), and the law march is on orbits
+    p = _params(n=14, k=1, kernel=KernelSpec.cosine(0.5))
     u0 = DensityField(p.lattice, 1, np.tile([0.6, 0.4], (14, 1)))
     law_bytes = 8 * 2 ** 14
     tracemalloc.start()
     try:
-        entropy_production_check(p, u0, 0.05, 0.01)
+        rep = entropy_production_check(p, u0, 0.05, 0.01)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 11 * law_bytes, peak / law_bytes
+    assert rep.metrics["entropy"]["engine"] == "orbits"
+    assert rep.metrics["entropy"]["operator_bytes"] < 4 * law_bytes
+    assert peak <= 7 * law_bytes, peak / law_bytes
 
 
 def test_law_steps_allocate_no_law_after_the_first_step():
@@ -544,3 +598,123 @@ def test_relative_entropy_and_marginals_match_per_state_loops(system):
     assert relative_entropy(law, u, space) == pytest.approx(entropy, rel=1e-12, abs=1e-14)
     np.testing.assert_allclose(site_state_marginals(law, space), marginals,
                                rtol=0, atol=1e-14)
+
+
+# -- the orbit engine against the full one ---------------------------------------
+
+def _orbit_numbers(space, op):
+    """The orbit of every state from the digit table: its least index over all
+    translations (``shift_permutation``), numbered as in op.reps."""
+    least = np.arange(space.size)
+    for offset in itertools.product(range(space.lattice.n), repeat=space.lattice.d):
+        least = np.minimum(least, space.shift_permutation(offset))
+    number = np.searchsorted(op.reps, least)
+    np.testing.assert_array_equal(op.reps[number], least)
+    return number
+
+
+def _burnside(d, n, k):
+    """Orbits of (k+1)^(n^d) configurations under the n^d torus translations:
+    the mean over translations of (k+1)^(cycles), a translation of order m
+    splitting the sites into n^d / m cycles."""
+    total = 0
+    for offset in itertools.product(range(n), repeat=d):
+        order = math.lcm(*(n // math.gcd(j, n) for j in offset))
+        total += (k + 1) ** (n ** d // order)
+    return total // n ** d
+
+
+_ORBIT_SYSTEMS = [   # d, n, k, kernel: factors and FFT engines
+    (1, 8, 1, KernelSpec.cosine(0.5)),
+    (1, 7, 2, KernelSpec.gaussian(1.0, 0.2)),
+    (2, 4, 1, KernelSpec.cosine(0.5)),
+    (2, 3, 2, KernelSpec.gaussian(1.0, 0.2)),
+]
+
+
+@pytest.mark.parametrize("d, n, k, count", [(1, 16, 1, 4116), (2, 4, 1, 4156),
+                                            (1, 9, 2, None), (2, 3, 2, None), (1, 1, 1, None)])
+def test_orbit_count_is_burnsides(d, n, k, count):
+    space = StateSpace(TorusLattice(d, n), k)
+    number, reps, sizes = translation_orbits(space)
+    assert len(reps) == _burnside(d, n, k)
+    assert count is None or len(reps) == count
+    assert sizes.sum() == space.size and np.all(n ** d % sizes == 0)
+    np.testing.assert_array_equal(reps[number[reps]], reps)
+    np.testing.assert_array_equal(np.bincount(number), sizes)
+
+
+@pytest.mark.parametrize("d, n, k, kernel", _ORBIT_SYSTEMS)
+def test_orbit_apply_is_the_lumped_full_apply(d, n, k, kernel):
+    # on an invariant law (orbit masses spread evenly), and linear beyond it
+    p = _params(n=n, k=k, a=0.7, d=d, kernel=kernel)
+    space = StateSpace(p.lattice, k)
+    op, full = OrbitOperator(space, p), MasterOperator(space, p)
+    number = _orbit_numbers(space, op)
+    np.testing.assert_array_equal(np.bincount(number), op.sizes)
+    rng = np.random.default_rng(d * 100 + n * 10 + k)
+    for q in (rng.dirichlet(np.ones(op.size)), rng.standard_normal(op.size)):
+        lumped = np.bincount(number, full.apply(q[number] / op.sizes[number],
+                                                np.empty(space.size)))
+        out = np.full(op.size, np.nan)
+        assert op.apply(q, out) is out
+        np.testing.assert_allclose(out, lumped, rtol=0, atol=1e-13)
+    assert op.applies == 2
+
+
+@pytest.mark.parametrize("d, n, k, kernel", _ORBIT_SYSTEMS)
+def test_orbit_report_matches_the_full_engine(d, n, k, kernel):
+    # the report takes the orbit engine at a constant profile; marching the
+    # full law beside it gives the same law lumped, entropy and production
+    p = _params(n=n, k=k, d=d, kernel=kernel)
+    base = [0.6, 0.4] if k == 1 else [0.3, 0.3, 0.4]
+    u0 = DensityField(p.lattice, k, np.tile(base, (n ** d, 1)))
+    rep = entropy_production_check(p, u0, 0.3, 0.01)
+    assert rep.metrics["entropy"]["engine"] == "orbits"
+    space = StateSpace(p.lattice, k)
+    full, op = MasterOperator(space, p), OrbitOperator(space, p)
+    number = _orbit_numbers(space, op)
+    traj = integrate(u0, p, 0.3, h=0.01)
+    for i, ((law, _), (q, _)) in enumerate(zip(law_steps(full.profile_law(u0), full, 0.3, 0.01),
+                                               law_steps(op.profile_law(u0), op, 0.3, 0.01))):
+        u_i = DensityField(p.lattice, k, traj.u[i])
+        np.testing.assert_allclose(q, np.bincount(number, law), rtol=0, atol=1e-15)
+        assert rep.entropy[i] == pytest.approx(full.relative_entropy(law, u_i), rel=0, abs=1e-13)
+        assert rep.production_rhs[i] == pytest.approx(full.production_expectation(law, u_i),
+                                                      rel=0, abs=1e-13)
+    assert i == 30 and rep.inequality_holds()
+
+
+@pytest.mark.parametrize("kernel, varies, engine", [
+    (KernelSpec.cosine(0.5), False, "orbits"),
+    (KernelSpec.tabulated(np.ones((6, 6))), False, "states"),
+    (KernelSpec.cosine(0.5), True, "states"),
+])
+def test_report_takes_the_orbit_engine_for_circulant_kernels_and_constant_profiles(
+        kernel, varies, engine):
+    lat = TorusLattice(1, 6)
+    p = ModelParams(1.0, 1, DiscreteKernel(lat, kernel))
+    u0 = (_cosine_field(p, [0.5, 0.5], [0.2, -0.2]) if varies
+          else DensityField(lat, 1, np.tile([0.5, 0.5], (6, 1))))
+    metrics = entropy_production_check(p, u0, 0.05, 0.01).metrics["entropy"]
+    assert metrics["engine"] == engine and metrics["states"] == 64
+    assert metrics.get("orbits") == (14 if engine == "orbits" else None)
+    assert metrics["master_applies"] == 4 * 5
+
+
+def test_orbit_build_and_functionals_never_read_the_digit_table():
+    p = _params(n=3, k=2, d=2, kernel=KernelSpec.cosine(0.5))
+    space = StateSpace(p.lattice, p.k)
+    u0 = DensityField(p.lattice, 2, np.tile([0.3, 0.3, 0.4], (9, 1)))
+    op = OrbitOperator(space, p)
+    for law, _ in law_steps(op.profile_law(u0), op, 0.05, 0.01):
+        op.relative_entropy(law, u0)
+        op.production_expectation(law, u0)
+    assert "digits" not in vars(space)
+
+
+def test_orbit_operator_refuses_a_tabulated_kernel():
+    lat = TorusLattice(1, 4)
+    p = ModelParams(1.0, 1, DiscreteKernel(lat, KernelSpec.tabulated(np.ones((4, 4)))))
+    with pytest.raises(ValueError, match="circulant"):
+        OrbitOperator(StateSpace(lat, 1), p)
