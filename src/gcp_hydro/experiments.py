@@ -5,7 +5,11 @@ Each experiment validates its config, runs the owning modules, writes its
 CSV payload plus a JSON sidecar atomically, and reports pass/fail against
 its declared thresholds.  Replica randomness is a pure function of
 (master seed, replica key), so scheduling order and worker count never
-change the aggregated output.
+change the aggregated output.  The simulating experiments (lln-rate,
+clt-check, init-cov) run one task per block of replicas, ``_replica_block``,
+which pairs each replica's centered field once with every marginal (f, i);
+each runner scales the pairings itself: by n^-d for the L2 error, by n^-d/2
+for the fluctuation.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .concentration import (MGF_MIN_REPLICAS, centered_indicator,
                             check_hanson_wright, check_hoeffding,
                             check_psi2_additivity, check_quad, rademacher)
 from .entropy import StateSpace, entropy_production_check, profile_law
-from .fields import TestFunction, carre_du_champ, centered_field, fluctuation, lln_error
+from .fields import TestFunction, carre_du_champ, centered_field, pairing
 from .gcp import SpinConfig, Simulation, block_lanes, replica_rng
 from .hydro import (ModelParams, _grid, combined_ode, convergence_study, final_density,
                     grid_index, integrate, profile_field)
@@ -353,29 +357,7 @@ def _concat(parts):
     return tuple(None if field[0] is None else np.concatenate(field) for field in zip(*parts))
 
 
-# -- replica batch tasks (top level for pickling) -----------------------------
-
-def _observe(cfg, n, t, lo, hi, u_t, pair):
-    """Replicas [lo, hi) of side n, one block, stepped as one Simulation to time t.
-
-    ``u_t`` is the density at t that the replicas are centered on.
-    ``pair(w, config)`` maps the block's stacked centered field and
-    configurations to a tuple of arrays with a leading replica axis; returns
-    that tuple and the block's simulator counters.
-    """
-    params, u0 = _system(cfg, n)
-    sim = Simulation(u0, params, cfg["seed"], range(lo, hi))
-    config = sim.simulate_until([t])[0].config
-    return pair(centered_field(config, u_t), config), sim.counters()
-
-
-def _lln_batch(args):
-    cfg, n, t, lo, hi, u_t = args
-    fns = _functions(cfg)
-    state = cfg["state"]
-    return _observe(cfg, n, t, lo, hi, u_t, lambda w, config: (
-        np.stack([lln_error(w, f, state) ** 2 for f in fns], axis=-1),))
-
+# -- the replica task (top level for pickling) --------------------------------
 
 def _marginals(cfg):
     """(f, i) over functions x states, function-major; no state key means every state."""
@@ -383,24 +365,33 @@ def _marginals(cfg):
     return [(f, i) for f in _functions(cfg) for i in states]
 
 
-def _fluctuation_batch(args):
+def _replica_block(args):
+    """Replicas [lo, hi) of side n, one block, stepped as one Simulation to time t
+    and centered on the density u_t at t.
+
+    Returns the (R, M) pairings sum_x w_x^i f(x/n), one column per marginal
+    (f, i) of ``_marginals``, the state counts, the configurations when
+    ``dump_configs`` is set (else None) and the block's simulator counters.
+    """
     cfg, n, t, lo, hi, u_t = args
-    marginals = _marginals(cfg)
-    dump = bool(cfg.get("dump_configs", False))
-    return _observe(cfg, n, t, lo, hi, u_t, lambda w, config: (
-        np.stack([lln_error(w, f, i) for f, i in marginals], axis=-1),
-        np.stack([fluctuation(w, f, i) for f, i in marginals], axis=-1),
-        config.state_counts(), config.sigma if dump else None))
+    params, u0 = _system(cfg, n)
+    sim = Simulation(u0, params, cfg["seed"], range(lo, hi))
+    config = sim.simulate_until([t])[0].config
+    w = centered_field(config, u_t)
+    pairs = np.stack([pairing(w, f, i) for f, i in _marginals(cfg)], axis=-1)
+    sigmas = config.sigma if cfg.get("dump_configs", False) else None
+    return pairs, config.state_counts(), sigmas, sim.counters()
 
 
-def _replica_tasks(cfg, fn, n, t, u_t):
-    """fn over the blocks of replicas, one task each, centered on the density
-    u_t at t: joined arrays and summed counters."""
+def _replica_tasks(cfg, n, t, u_t):
+    """``_replica_block`` over the blocks of replicas, one task each, centered on
+    the density u_t at t: the joined pairings, counts and configurations, and
+    the summed counters."""
     replicas, lanes = cfg["replicas"], block_lanes(n ** cfg["d"])
     tasks = [(cfg, n, t, lo, min(lo + lanes, replicas), u_t)
              for lo in range(0, replicas, lanes)]
-    results = _pmap(fn, tasks, _workers(cfg))
-    return _concat([r[0] for r in results]), _sum_counters([r[1] for r in results])
+    results = _pmap(_replica_block, tasks, _workers(cfg))
+    return _concat([r[:3] for r in results]), _sum_counters([r[3] for r in results])
 
 
 # -- experiment runners --------------------------------------------------------
@@ -426,8 +417,10 @@ def _run_lln_rate(cfg):
     rows, slopes, counters, solves = [], {}, [], []
     per_f_means = {f.name: [] for f in fns}
     for n in cfg["n_list"]:
-        u_t, ode = _density_at(cfg, n, t)
-        (sq,), totals = _replica_tasks(cfg, _lln_batch, n, t, u_t)
+        params, u0 = _system(cfg, n)
+        u_t, ode = final_density(u0, params, t, cfg["h"])
+        (pairs, _, _), totals = _replica_tasks(cfg, n, t, u_t)
+        sq = (pairs / n ** cfg["d"]) ** 2  # lln_error squared, one column per function
         counters.append(totals)
         solves.append(ode)
         for idx, f in enumerate(fns):
@@ -456,7 +449,9 @@ def _run_fluctuations(cfg):
     t = cfg["times"][-1]
     marginals = _marginals(cfg)
     predicted, u_t, ode = _predicted_cov(cfg, n, t, marginals)
-    (errors, x, counts, sigmas), counters = _replica_tasks(cfg, _fluctuation_batch, n, t, u_t)
+    (pairs, counts, sigmas), counters = _replica_tasks(cfg, n, t, u_t)
+    n_sites = n ** cfg["d"]
+    errors, x = pairs / n_sites, pairs / math.sqrt(n_sites)  # lln_error, fluctuation
     replicas = len(x)
     centered = [col - col.mean() for col in x.T]
     cov_rows = []
@@ -500,13 +495,6 @@ def _predicted_cov(cfg, n, t, marginals):
     cov = predicted_cov_mild([terminal_datum(f, i, params.lattice, params.k)
                               for f, i in marginals], t, traj, params)
     return cov, traj.final(), traj.ode
-
-
-def _density_at(cfg, n, t):
-    """(u_t, ode): the density at t on side n, solved without its trajectory,
-    and the solve's counts."""
-    params, u0 = _system(cfg, n)
-    return final_density(u0, params, t, cfg["h"])
 
 
 def _run_qv_check(cfg):

@@ -1,12 +1,12 @@
 """Test functions, centered occupation fields, and the pairings built from them.
 
 The centered field w_x^i = 1(sigma_x = i) - u_x^i compares one configuration
-against a density field.  Paired with a test function it yields the
-density-scale error functional (n^-d weighting) and the fluctuation
-functional (n^-d/2 weighting), one value per replica when the
-configurations carry a leading replica axis; the quadratic form of the
-generator is evaluated on configurations directly, one value per row of a
-stack too.
+against a density field.  ``pairing`` sums it against a test function, one
+value per replica when the configurations carry a leading replica axis;
+scaled by n^-d it is the density-scale error functional (``lln_error``), by
+n^-d/2 the fluctuation functional (``fluctuation``).  The quadratic form of
+the generator is evaluated on configurations directly, one value per row of
+a stack too.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def centered_field(config: SpinConfig, u: DensityField) -> CenteredField:
     return CenteredField(config.lattice, config.k, config.sigma, u.u)
 
 
-def _pairing(w: CenteredField, f: TestFunction, i):
+def pairing(w: CenteredField, f: TestFunction, i):
     """sum_x w_x^i f(x/n): a float, or one per replica of a stack."""
     fv = f.values_on(w.lattice)
     total = np.where(w.sigma == i, fv, 0.0).sum(axis=-1) - np.sum(w.u[:, i] * fv)
@@ -132,12 +132,12 @@ def _pairing(w: CenteredField, f: TestFunction, i):
 
 def lln_error(w: CenteredField, f: TestFunction, i):
     """Density-scale pairing n^-d sum_x w_x^i f(x/n); one per replica of a stack."""
-    return _pairing(w, f, i) / w.lattice.n_sites
+    return pairing(w, f, i) / w.lattice.n_sites
 
 
 def fluctuation(w: CenteredField, f: TestFunction, i):
     """Fluctuation-scale pairing n^-d/2 sum_x w_x^i f(x/n); one per replica of a stack."""
-    return _pairing(w, f, i) / math.sqrt(w.lattice.n_sites)
+    return pairing(w, f, i) / math.sqrt(w.lattice.n_sites)
 
 
 def carre_du_champ(config: SpinConfig, params: ModelParams, f: TestFunction, i, j):

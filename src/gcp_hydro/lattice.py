@@ -8,8 +8,8 @@ and its dense matrix are windows of that one sample.  The kernel's spec alone
 decides the convolution engine (``KernelSpec.engine``): a kernel with a
 closed-form factorization J[x, y] = sum_j P[x, j] Q[y, j] convolves through
 its factors, any other catalog kernel by FFT, and a tabulated kernel by its
-dense table.  A spec carries no norms: the sup and row-sum norms a caller
-reads are the sampled kernel's.  The normalized convolutions serve every
+dense table.  A spec carries no norms: the sup norm the simulator reads is
+the sampled kernel's.  The normalized convolutions serve every
 other module.  The simulator reads the kernel through the same
 factorization, valid off the diagonal: r = 1 for the constant kernel,
 r = 3^d for the cosine kernel, and r = N (P the identity, Q[y] the column
@@ -232,16 +232,12 @@ class DiscreteKernel:
             np.fill_diagonal(m, 0.0)
             self._check_entries(m)
             self._table = m
-            self.norm_1n = float(np.max(m.sum(axis=1))) / n_sites
             self.norm_inf = float(np.max(m))
             return
         phi = spec.evaluate(lattice.positions(), np.zeros(lattice.d))
         phi = np.array(phi, dtype=float).reshape(lattice.shape)
         phi[(0,) * lattice.d] = 0.0
         self._check_entries(phi)
-        # every row of a circulant kernel sums to phi.sum(), so both norms are
-        # exact over sites
-        self.norm_1n = float(phi.sum()) / n_sites
         self.norm_inf = float(phi.max())
         self._phi2 = np.tile(phi, (2,) * lattice.d)
         if self.engine == "factors":
@@ -341,7 +337,7 @@ class DiscreteKernel:
 
 
 def discretize(spec: KernelSpec, lattice: TorusLattice) -> DiscreteKernel:
-    """Sample a kernel onto a lattice (zero diagonal, exact norms over sites)."""
+    """Sample a kernel onto a lattice (zero diagonal, sup norm exact over sites)."""
     if lattice.n < 2:
         raise ValueError("discretize needs lattice side n >= 2")
     return DiscreteKernel(lattice, spec)

@@ -1,10 +1,12 @@
+import collections
+import csv
 import json
 
 import numpy as np
 import pytest
 import yaml
 
-from gcp_hydro import entropy, experiments
+from gcp_hydro import entropy, experiments, fields
 from gcp_hydro.cli import main
 from gcp_hydro.experiments import (_RUNNERS, DEFAULTS, HEADERS, TAKES, ConfigError,
                                    _system, load_config, run, validate)
@@ -469,6 +471,52 @@ def test_clt_check_emits_counts_and_optional_config_dump(tmp_path):
     out2 = tmp_path / "nodump"
     run(load_config("clt-check", None, small), str(out2))
     assert not (out2 / "clt_configs.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, overrides, blocks, marginals", [
+    # 372 lanes per block at n = 256: 500 replicas are two blocks
+    ("clt-check", ["functions=[{name: constant}, {name: cos, mode: 1}]"], 2, 2),
+    ("init-cov", [], 2, 9),  # three functions x three states
+])
+def test_each_block_pairs_each_marginal_once(tmp_path, monkeypatch, experiment, overrides,
+                                             blocks, marginals):
+    monkeypatch.delenv("GCP_HYDRO_WORKERS", raising=False)
+    calls, pairing = collections.Counter(), fields.pairing
+
+    def counted(w, f, i):
+        calls[f.name, i] += 1
+        return pairing(w, f, i)
+    # the scalings lln_error and fluctuation pair through fields.pairing:
+    # counting both names catches a block that pairs a marginal twice
+    monkeypatch.setattr(experiments, "pairing", counted)
+    monkeypatch.setattr(fields, "pairing", counted)
+    cfg = load_config(experiment, None, overrides + [
+        "replicas=500", "n_list=[256]", "times=[0.1]", "h=0.02"])
+    run(cfg, str(tmp_path))
+    assert len(calls) == marginals
+    assert set(calls.values()) == {blocks}
+
+
+def test_lln_rate_and_clt_check_run_the_same_task(tmp_path):
+    # one system, seed, time, state and functions: lln-rate's mean squared
+    # error at n = 16 is the mean of clt-check's squared lln_error
+    lln = DEFAULTS["lln-rate"]
+    shared = ["seed=7", "replicas=500", "times=[0.5]", "k=2", "state=2",
+              f"profile={json.dumps(lln['profile'])}",
+              f"functions={json.dumps(lln['functions'])}"]
+    run(load_config("lln-rate", None, shared + ["n_list=[16, 32, 64]"]), str(tmp_path / "lln"))
+    run(load_config("clt-check", None, shared + ["n_list=[16]"]), str(tmp_path / "clt"))
+    with open(tmp_path / "lln" / "lln.csv", newline="") as fh:
+        means = {row["f"]: float(row["mean_sq_error"])
+                 for row in csv.DictReader(fh) if row["n"] == "16"}
+    with open(tmp_path / "clt" / "clt.csv", newline="") as fh:
+        errors = collections.defaultdict(list)
+        for row in csv.DictReader(fh):
+            errors[row["f"]].append(float(row["lln_error"]))
+    assert sorted(means) == sorted(errors) == ["constant", "cos"]
+    for name, column in errors.items():
+        assert len(column) == 500
+        assert means[name] == float(np.mean(np.square(column)))
 
 
 def test_config_file_roundtrip_through_cli(tmp_path):

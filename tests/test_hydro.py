@@ -204,7 +204,7 @@ def test_mass_conservation_and_floor():
     traj = integrate(u0, p, 2.0, h=0.01)
     sums = traj.u.sum(axis=2)
     assert np.max(np.abs(sums - 1.0)) < 1e-9
-    rate = max(p.a, p.kernel.norm_1n)
+    rate = max(p.a, p.kernel.matrix.sum(axis=1).max() / p.lattice.n_sites)
     for m, t in enumerate(traj.times):
         floor = 0.9 * eps0 * math.exp(-rate * t)
         assert np.min(traj.u[m]) >= floor
@@ -216,7 +216,8 @@ def test_a_priori_sup_bound():
     u0 = profile_field(prof, p.lattice)
     traj = integrate(u0, p, 2.0, h=0.01)
     # ||A|| + ||J||_{1,n} ||M|| in the max-column-sum norm
-    lam = np.abs(p.A).sum(axis=0).max() + p.kernel.norm_1n * np.abs(p.M).sum(axis=0).max()
+    norm_1n = p.kernel.matrix.sum(axis=1).max() / p.lattice.n_sites
+    lam = np.abs(p.A).sum(axis=0).max() + norm_1n * np.abs(p.M).sum(axis=0).max()
     for m, t in enumerate(traj.times):
         assert np.max(np.abs(traj.u[m])) <= np.max(np.abs(u0.u)) * math.exp(lam * t) + 1e-12
 

@@ -14,8 +14,9 @@ import hashlib
 
 import pytest
 
-from gcp_hydro.experiments import _density_at, _fluctuation_batch, _replica_tasks, load_config, run
+from gcp_hydro.experiments import _replica_tasks, _system, load_config, run
 from gcp_hydro.gcp import Simulation, block_lanes
+from gcp_hydro.hydro import final_density
 
 PINNED = {
     # n = 256 runs 372 lanes per block: 500 replicas are one full and one partial block
@@ -54,8 +55,9 @@ def test_one_philox_round_per_vectorized_step(monkeypatch):
         return wrapper
     for name in calls:
         monkeypatch.setattr(Simulation, name, counted(name))
-    u_t, _ = _density_at(cfg, n, t)
-    _, counters = _replica_tasks(cfg, _fluctuation_batch, n, t, u_t)
+    params, u0 = _system(cfg, n)
+    u_t, _ = final_density(u0, params, t, cfg["h"])
+    _, counters = _replica_tasks(cfg, n, t, u_t)
     assert counters["replicas"] == cfg["replicas"] and counters["events"] > 0
     assert calls["_draws"] > 0
     assert calls["_round_columns"] == calls["_draws"]
