@@ -50,12 +50,11 @@ def main(argv=None) -> int:
         for item in exc.violations:
             print(f"config error: {item}", file=sys.stderr)
         return 2
-    status = "pass" if result.passed else "fail" if result.passed is not None else "done"
-    print(f"{result.experiment}: {status}")
+    print(f"{result.experiment}: {result.status}")
     for path in result.csv_paths:
         print(f"  wrote {path}")
     print(f"  wrote {result.sidecar_path}")
-    return 0 if (result.passed is None or result.passed) else 1
+    return 1 if result.status == "fail" else 0
 
 
 if __name__ == "__main__":

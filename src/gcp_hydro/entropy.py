@@ -26,8 +26,8 @@ the laws of the two halves, which give the site marginals, and the
 production's intensity moments are two matrix products of P with the half
 tables.  The product measure is grown in place in a buffer the caller holds.
 
-A system whose kernel is circulant (a catalog kernel, any convolution engine
-but ``"dense"``) and whose initial density has equal rows has a law that
+A system whose kernel is circulant (a catalog kernel, not a tabulated
+one) and whose initial density has equal rows has a law that
 stays invariant under the torus translations, with a density that stays
 homogeneous.  The report then steps the law on the translation orbits
 (``OrbitOperator``): about S/N orbit masses, a sparse generator with N
@@ -376,7 +376,7 @@ class OrbitOperator:
     def __init__(self, space: StateSpace, params: ModelParams):
         if params.lattice != space.lattice or params.k != space.k:
             raise ValueError("state space does not match model parameters")
-        if params.kernel.engine == "dense":
+        if params.kernel.spec.table is not None:
             raise ValueError("the orbit engine needs a circulant (catalog) kernel")
         self.space = space
         self.applies = 0
@@ -700,7 +700,7 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h) ->
     grid time is evaluated as the law reaches it; no law trajectory is kept.
 
     The kernel and the initial density choose the engine: a catalog kernel
-    (circulant, any engine but ``"dense"``) and equal rows of u0 make the law
+    (circulant, not a tabulated one) and equal rows of u0 make the law
     and the density translation invariant for all time, so the law is stepped
     on orbits (``OrbitOperator``); any other system on every state
     (``MasterOperator``).
@@ -710,7 +710,7 @@ def entropy_production_check(params: ModelParams, u0: DensityField, t_end, h) ->
     walls = {"density_solve": perf_counter() - clock}
     clock = perf_counter()
     space = StateSpace(params.lattice, params.k)
-    invariant = params.kernel.engine != "dense" and np.all(u0.u == u0.u[0])
+    invariant = params.kernel.spec.table is None and np.all(u0.u == u0.u[0])
     op = (OrbitOperator if invariant else MasterOperator)(space, params)
     laws = law_steps(op.profile_law(u0), op, t_end, h)
     walls["operator_build"] = perf_counter() - clock

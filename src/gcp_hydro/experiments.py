@@ -30,7 +30,6 @@ from . import __version__
 from .concentration import (MGF_MIN_REPLICAS, centered_indicator,
                             check_hanson_wright, check_hoeffding,
                             check_psi2_additivity, check_quad, rademacher)
-from .entropy import StateSpace, entropy_production_check, profile_law
 from .fields import TestFunction, carre_du_champ, centered_field, pairing
 from .gcp import SpinConfig, Simulation, block_lanes, replica_rng
 from .hydro import (ModelParams, _grid, combined_ode, convergence_study, final_density,
@@ -146,6 +145,11 @@ class RunResult:
     csv_paths: list
     sidecar_path: str
     summary: dict = field(default_factory=dict)
+
+    @property
+    def status(self) -> str:
+        """``pass`` or ``fail``, or ``done`` for an experiment without thresholds."""
+        return "pass" if self.passed else "fail" if self.passed is not None else "done"
 
 
 def _deep_update(base, extra):
@@ -311,6 +315,8 @@ def validate(cfg) -> list:
             if sides_ok and any(n_ref % n for n in n_list):
                 v.append("n_ref: every study size must divide the reference size")
     # the dry build: at each side, what the runner builds there
+    if enumerates:  # only the runs that enumerate states import the entropy engine
+        from .entropy import StateSpace
     builds = [("kernel", spec and (lambda lattice: discretize(spec, lattice))),
               ("profile", profile and (lambda lattice: profile_field(profile, lattice))),
               ("n_list", enumerates and k_ok and (lambda lattice: StateSpace(lattice, k)))]
@@ -498,6 +504,7 @@ def _predicted_cov(cfg, n, t, marginals):
 
 
 def _run_qv_check(cfg):
+    from .entropy import StateSpace, profile_law
     params, u0 = _system(cfg, cfg["n_list"][0])
     lattice, k = params.lattice, params.k
     space = StateSpace(lattice, k)
@@ -524,6 +531,7 @@ def _run_qv_check(cfg):
 
 
 def _run_entropy_exact(cfg):
+    from .entropy import entropy_production_check
     params, u0 = _system(cfg, cfg["n_list"][0])
     report = entropy_production_check(params, u0, cfg["times"][-1], cfg["h"])
     passed = (abs(report.entropy[0]) <= 1e-12
@@ -588,13 +596,14 @@ def run(cfg, out_dir) -> RunResult:
         engine = KernelSpec.from_config(cfg["kernel"]).engine
         sides = list(cfg["n_list"]) + ([cfg["n_ref"]] if "n_ref" in cfg else [])
         metrics["kernel"] = {"engine": {str(n): engine for n in sides}}
-    passed = None if passed is None else bool(passed)
     csv_paths = []
     for stem, (header, rows) in payloads.items():
         path = os.path.join(out_dir, f"{stem}.csv")
         write_csv(path, HEADERS[header] if isinstance(header, str) else header, rows)
         csv_paths.append(path)
     sidecar = os.path.join(out_dir, "run.json")
+    result = RunResult(cfg["experiment"], None if passed is None else bool(passed),
+                       csv_paths, sidecar, summary)
     meta = {
         "schema_version": SCHEMA_VERSION,
         "experiment": cfg["experiment"],
@@ -602,11 +611,11 @@ def run(cfg, out_dir) -> RunResult:
         "config_sha256": config_hash(cfg),
         "provenance": f"gcp-hydro/{__version__}+{config_hash(cfg)[:12]}",
         "seed": cfg["seed"],
-        "status": "pass" if passed else "fail" if passed is not None else "done",
+        "status": result.status,
         "summary": summary,
         "metrics": metrics,
         "wall_time_s": round(time.perf_counter() - started, 3),
         "versions": {"gcp_hydro": __version__, "numpy": np.__version__},
     }
     write_json(sidecar, meta)
-    return RunResult(cfg["experiment"], passed, csv_paths, sidecar, summary)
+    return result

@@ -4,16 +4,15 @@ Sites of the d-dimensional discrete torus of side n are indexed row-major
 (last coordinate fastest) and embedded into the unit torus at x/n.  A
 catalog kernel is a function of x - y, so it is sampled once on the N
 displacements of the lattice, with an explicitly zero diagonal; its columns
-and its dense matrix are windows of that one sample.  The kernel's spec alone
-decides the convolution engine (``KernelSpec.engine``): a kernel with a
-closed-form factorization J[x, y] = sum_j P[x, j] Q[y, j] convolves through
-its factors, any other catalog kernel by FFT, and a tabulated kernel by its
-dense table.  A spec carries no norms: the sup norm the simulator reads is
-the sampled kernel's.  The normalized convolutions serve every
-other module.  The simulator reads the kernel through the same
-factorization, valid off the diagonal: r = 1 for the constant kernel,
-r = 3^d for the cosine kernel, and r = N (P the identity, Q[y] the column
-J[:, y]) for every other kernel.
+and its (N, N) matrix are windows of that one sample.  A spec carries no
+norms: the sup norm the simulator reads is the sampled kernel's.  The spec
+alone picks one of two convolution engines (``KernelSpec.engine``): a
+factorization J[x, y] = sum_j P[x, j] Q[y, j], valid off the diagonal, of
+rank r = 1 for the constant kernel, r = 3^d for the cosine kernel and r = N
+for a tabulated kernel (P the identity, Q[y] the column J[:, y]), or FFT for
+any other catalog kernel.  The normalized convolutions serve every other
+module; the simulator reads every kernel as a factorization, an FFT
+kernel's being the rank-N one gathered by ``col``.
 """
 
 from __future__ import annotations
@@ -94,11 +93,9 @@ class KernelSpec:
 
     @property
     def engine(self) -> str:
-        """How the kernel convolves on every lattice: ``"dense"`` by its table,
-        ``"factors"`` through its features, ``"fft"`` for any other kernel."""
-        if self.table is not None:
-            return "dense"
-        return "fft" if self.features is None else "factors"
+        """How the kernel convolves on every lattice: ``"factors"`` through its
+        features or its table, ``"fft"`` for any other kernel."""
+        return "fft" if self.table is None and self.features is None else "factors"
 
     def evaluate(self, x, y):
         """Pointwise values J(x, y); x and y are (..., d) arrays."""
@@ -209,11 +206,11 @@ class DiscreteKernel:
     the column J[:, x] = phi(. - x) is the window of that array starting at
     n - x, which ``col`` and ``matrix`` both gather.  A spec with
     ``features`` also stores its (N, r) factors P and Q, sampled at the
-    sites; any other kernel is the rank-N factorization P = identity,
-    Q[y] = J[:, y].  ``engine`` is the spec's (``KernelSpec.engine``):
-    ``"factors"`` convolves by P Q^T less its diagonal, ``"fft"`` by FFTs of
-    phi, and ``"dense"`` by matvec with the (N, N) table.  Immutable after
-    construction.
+    sites.  A tabulated kernel is stored as the rank-N factorization alone:
+    P the identity (``None``) and Q = J^T with a zero diagonal, so its
+    columns are rows of Q and no diagonal is subtracted.  ``engine`` is the
+    spec's (``KernelSpec.engine``): ``"factors"`` convolves by P Q^T less
+    its diagonal, ``"fft"`` by FFTs of phi.  Immutable after construction.
     """
 
     def __init__(self, lattice: TorusLattice, spec: KernelSpec):
@@ -222,17 +219,16 @@ class DiscreteKernel:
         self.engine = spec.engine
         n_sites = lattice.n_sites
         self._axes = tuple(range(lattice.d))
-        self._table = self._phi2 = self._phi_hat = self._p = self._q = self._diag = None
+        self._phi2 = self._phi_hat = self._p = self._q = self._diag = None
         self.rank = n_sites
-        if self.engine == "dense":
+        if spec.table is not None:
             if spec.table.shape != (n_sites, n_sites):
                 raise ValueError(f"tabulated kernel has {spec.table.shape[0]} sites and "
                                  f"does not match lattice of {n_sites} sites")
-            m = spec.table.copy()
-            np.fill_diagonal(m, 0.0)
-            self._check_entries(m)
-            self._table = m
-            self.norm_inf = float(np.max(m))
+            q = spec.table.T.copy()   # C-contiguous: row y is the column J[:, y]
+            np.fill_diagonal(q, 0.0)
+            self._check_entries(q)
+            self._q, self.norm_inf = q, float(np.max(q))
             return
         phi = spec.evaluate(lattice.positions(), np.zeros(lattice.d))
         phi = np.array(phi, dtype=float).reshape(lattice.shape)
@@ -258,17 +254,16 @@ class DiscreteKernel:
 
     @property
     def matrix(self) -> np.ndarray:
-        """The (N, N) matrix J[x, y]: a tabulated kernel's table, else gathered
-        from phi as a new C-contiguous array on each call."""
-        if self._table is not None:
-            return self._table
+        """The (N, N) matrix J[x, y], gathered by ``col`` as a new C-contiguous
+        array on each call."""
         return np.ascontiguousarray(self.col(np.arange(self.lattice.n_sites)).T)
 
     def col(self, xs) -> np.ndarray:
-        """Columns J[:, x] = phi(. - x) for an index array xs, as (len(xs), N) rows."""
+        """Columns J[:, x] for an index array xs, as (len(xs), N) rows: rows of
+        a tabulated kernel's Q, else windows phi(. - x)."""
         xs = np.asarray(xs)
-        if self._table is not None:
-            return self._table[:, xs].T
+        if self._phi2 is None:
+            return self._q[xs]
         # every window of side n of the doubled phi, (n + 1)^d of them; the
         # view allocates nothing, and the one at n - x is phi(. - x)
         n, d = self.lattice.n, self.lattice.d
@@ -301,19 +296,15 @@ class DiscreteKernel:
         n_sites = self.lattice.n_sites
         if g.shape[-1] != n_sites:
             raise ValueError(f"field has {g.shape[-1]} entries, lattice has {n_sites} sites")
-        if self.engine == "dense":
-            m = self._table.T if adjoint else self._table
-            if g.ndim == 1:
-                return m @ g / n_sites
-            # a stack by einsum: the work buffers of a BLAS matrix product
-            # would cost more resident memory than a block of replicas
-            out = np.einsum("xy,my->mx", m, g)
-        elif self.engine == "factors":
+        if self.engine == "factors":
             # sum_{y != x} J[x, y] g_y = (P Q^T g)_x - diag(P Q^T)_x g_x; the
-            # adjoint swaps P and Q, and the diagonal is the same
+            # adjoint swaps P and Q, and the diagonal is the same.  A factor
+            # stored as None is the identity; a tabulated Q has no diagonal
             p, q = (self._q, self._p) if adjoint else (self._p, self._q)
-            out = (g @ q) @ p.T
-            out -= self._diag * g
+            out = g if q is None else g @ q
+            out = out if p is None else out @ p.T
+            if self._diag is not None:
+                out -= self._diag * g
         else:
             # circular convolution with phi; the adjoint correlates with it instead
             phi_hat = np.conj(self._phi_hat) if adjoint else self._phi_hat

@@ -246,8 +246,8 @@ def test_a_time_off_the_step_grid_is_config_error(tmp_path, capsys):
 
 
 def test_kernel_engine_is_reported_by_the_spec(tmp_path):
-    # a tabulated kernel convolves by its dense table; a run without a
-    # kernel reports none
+    # a tabulated kernel convolves through its factors (P the identity, Q
+    # its transposed table); a run without a kernel reports none
     table = tmp_path / "kernel.csv"
     table.write_text("".join(f"{x},{y},1.0\n" for x in range(4) for y in range(4)))
     kernel = ["kernel.name=tabulated", f"kernel.path={table}", "kernel.n_sites=4"]
@@ -255,7 +255,7 @@ def test_kernel_engine_is_reported_by_the_spec(tmp_path):
                                     for arg in ("--set", o)),
                  "--out", str(tmp_path / "e")]) == 0
     meta = json.loads((tmp_path / "e" / "run.json").read_text())
-    assert meta["metrics"]["kernel"] == {"engine": {"4": "dense"}}
+    assert meta["metrics"]["kernel"] == {"engine": {"4": "factors"}}
     assert main(["concentration", "--set", "replicas=10000", "--set", "matrix_size=4",
                  "--out", str(tmp_path / "c")]) == 0
     assert "kernel" not in json.loads((tmp_path / "c" / "run.json").read_text())["metrics"]
@@ -421,10 +421,11 @@ def test_validate_builds_but_never_solves_or_simulates(monkeypatch):
     # sampler the runners call raises here, and every default config validates
     def refuse(*args, **kwargs):
         raise AssertionError("validate solved or simulated")
-    for name in ("integrate", "final_density", "convergence_study", "Simulation",
-                 "entropy_production_check"):
+    for name in ("integrate", "final_density", "convergence_study", "Simulation"):
         monkeypatch.setattr(experiments, name, refuse)
-    monkeypatch.setattr(entropy, "MasterOperator", refuse)
+    # the entropy runner imports its engine when it runs
+    for name in ("entropy_production_check", "MasterOperator"):
+        monkeypatch.setattr(entropy, name, refuse)
     for name in DEFAULTS:
         assert validate(load_config(name)) == []
 
