@@ -6,10 +6,10 @@ CSV payload plus a JSON sidecar atomically, and reports pass/fail against
 its declared thresholds.  Replica randomness is a pure function of
 (master seed, replica key), so scheduling order and worker count never
 change the aggregated output.  The simulating experiments (lln-rate,
-clt-check, init-cov) run one task per block of replicas, ``_replica_block``,
-which pairs each replica's centered field once with every marginal (f, i);
-each runner scales the pairings itself: by n^-d for the L2 error, by n^-d/2
-for the fluctuation.
+clt-check, init-cov) run ``_replica_block`` over tasks of whole blocks of
+replicas, which pairs each replica's centered field once with every marginal
+(f, i); each runner scales the pairings itself: by n^-d for the L2 error, by
+n^-d/2 for the fluctuation.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .concentration import (MGF_MIN_REPLICAS, centered_indicator,
                             check_hanson_wright, check_hoeffding,
                             check_psi2_additivity, check_quad, rademacher)
 from .fields import TestFunction, carre_du_champ, centered_field, pairing
-from .gcp import SpinConfig, Simulation, block_lanes, replica_rng
+from .gcp import SpinConfig, Simulation, block_lanes, lane_bytes, replica_rng
 from .hydro import (ModelParams, _grid, combined_ode, convergence_study, final_density,
                     grid_index, integrate, profile_field)
 from .io_utils import config_hash, write_csv, write_json
@@ -42,6 +42,11 @@ from .stats import (NORMALITY_MIN_SAMPLES, RATE_FIT_MIN_POINTS, gamma_field,
                     terminal_datum)
 
 SCHEMA_VERSION = 2
+# Nominal lane state (gcp.lane_bytes) one replica task may step at once: eight
+# blocks up to N = 13 081 sites, up to eleven above while a block holds more
+# than one lane.  Fewer blocks to a task mean more fixed-cost vectorized
+# steps for the same rounds.
+TASK_BYTES = 8 << 20
 
 HEADERS = {
     "convergence": ("n", "sup_error"),
@@ -372,31 +377,50 @@ def _marginals(cfg):
 
 
 def _replica_block(args):
-    """Replicas [lo, hi) of side n, one block, stepped as one Simulation to time t
-    and centered on the density u_t at t.
+    """Replicas [lo, hi) of side n, whole blocks from lo on, stepped as one
+    Simulation to time t and centered on the density u_t at t.
 
     Returns the (R, M) pairings sum_x w_x^i f(x/n), one column per marginal
     (f, i) of ``_marginals``, the state counts, the configurations when
-    ``dump_configs`` is set (else None) and the block's simulator counters.
+    ``dump_configs`` is set (else None) and the simulator counters.  The
+    Simulation is freed before the pairing, which takes one block of rows at
+    a time; rows sum independently, so the chunks change no value.
     """
     cfg, n, t, lo, hi, u_t = args
     params, u0 = _system(cfg, n)
     sim = Simulation(u0, params, cfg["seed"], range(lo, hi))
     config = sim.simulate_until([t])[0].config
-    w = centered_field(config, u_t)
-    pairs = np.stack([pairing(w, f, i) for f, i in _marginals(cfg)], axis=-1)
+    counters = sim.counters()
+    del sim
+    lanes, marginals = block_lanes(params.lattice.n_sites), _marginals(cfg)
+    pairs = np.empty((hi - lo, len(marginals)))
+    for row in range(0, hi - lo, lanes):
+        w = centered_field(SpinConfig(config.lattice, config.k, config.sigma[row:row + lanes]),
+                           u_t)
+        for col, (f, i) in enumerate(marginals):
+            pairs[row:row + lanes, col] = pairing(w, f, i)
     sigmas = config.sigma if cfg.get("dump_configs", False) else None
-    return pairs, config.state_counts(), sigmas, sim.counters()
+    return pairs, config.state_counts(), sigmas, counters
 
 
 def _replica_tasks(cfg, n, t, u_t):
-    """``_replica_block`` over the blocks of replicas, one task each, centered on
+    """``_replica_block`` over tasks of whole blocks of replicas, centered on
     the density u_t at t: the joined pairings, counts and configurations, and
-    the summed counters."""
-    replicas, lanes = cfg["replicas"], block_lanes(n ** cfg["d"])
-    tasks = [(cfg, n, t, lo, min(lo + lanes, replicas), u_t)
-             for lo in range(0, replicas, lanes)]
-    results = _pmap(_replica_block, tasks, _workers(cfg))
+    the summed counters.
+
+    The blocks are split evenly into at least min(workers, blocks) tasks of
+    at most TASK_BYTES of nominal lane state each.  A replica's path does not
+    depend on the blocks stepped with it, so neither does any output.
+    """
+    replicas, n_sites, workers = cfg["replicas"], n ** cfg["d"], _workers(cfg)
+    lanes = block_lanes(n_sites)
+    blocks = -(-replicas // lanes)
+    per_task = max(1, TASK_BYTES // (lanes * lane_bytes(n_sites)))
+    n_tasks = max(-(-blocks // per_task), min(workers, blocks))
+    # task j holds blocks [j * blocks // n_tasks, (j + 1) * blocks // n_tasks)
+    edges = [min(j * blocks // n_tasks * lanes, replicas) for j in range(n_tasks + 1)]
+    tasks = [(cfg, n, t, lo, hi, u_t) for lo, hi in zip(edges, edges[1:])]
+    results = _pmap(_replica_block, tasks, workers)
     return _concat([r[:3] for r in results]), _sum_counters([r[3] for r in results])
 
 

@@ -24,13 +24,14 @@ the absorbing state absorbs.
 
 Randomness is counter-based (Philox; Salmon et al., SC'11).  Replica r is
 lane r % B of block r // B, where B = block_lanes(N), as many lanes as
-BLOCK_BYTES of lane state holds, depends on the lattice size only.  The
-replica driver steps each block as one Simulation, so every vectorized step
-draws one round.  Block b is keyed by the Philox key of replica_rng(seed, n,
-b).  Round 0 of that key draws the block's initial configurations as a (B, N)
-matrix; round j >= 1 is the (3, B) matrix at counter (0, 0, j, 0), and a
-lane's j-th proposal reads its own column of it: holding time, site,
-acceptance.  Rounds are always drawn at full width and each lane keeps its
+BLOCK_BYTES of nominal lane state holds, depends on the lattice size only.
+The replica driver steps several whole blocks as one Simulation, and a
+vectorized step draws one round per (block, round) among its live lanes: one
+per block when the lanes started together.  Block b is keyed by the Philox
+key of replica_rng(seed, n, b).  Round 0 of that key draws the block's
+initial configurations as a (B, N) matrix; round j >= 1 is the (3, B) matrix
+at counter (0, 0, j, 0), and a lane's j-th proposal reads its own column of
+it: holding time, site, acceptance.  Rounds are always drawn at full width and each lane keeps its
 own round counter, so a replica's path is a pure function of (seed, n, r):
 it depends neither on which other replicas are stepped with it nor on how
 the observation times are split across calls.
@@ -46,19 +47,29 @@ from .hydro import DensityField, ModelParams
 from .lattice import TorusLattice
 
 REBUILD_PERIOD = 1 << 20  # per-lane refresh cadence bounding float drift in the kernel sums
-# Bytes of lane state one block may hold.  A lane costs an int16 state and two
-# int32 partition slots per site, and LANE_BYTES for its clocks, counters,
-# low-rank kernel sums and the vectors of one step; the N-term sums of a
-# gaussian or tabulated kernel are left out, so the width depends on N alone.
+# Bytes of nominal lane state one block may hold.  The nominal lane costs 10
+# bytes a site (an int16 state and two int32 partition slots, the layout the
+# streams were sized with) and LANE_BYTES for its clocks, counters, low-rank
+# kernel sums and the vectors of one step; the N-term sums of a gaussian or
+# tabulated kernel are left out, so the width depends on N alone.  The count
+# fixes the streams, so it is not the real cost: a Simulation stores its slots
+# in the narrowest unsigned type that holds a site index, and a lane takes 4
+# or 6 bytes a site wherever N <= 65 536.
 BLOCK_BYTES = 1 << 20
 LANE_BYTES = 256
 
 
+def lane_bytes(n_sites) -> int:
+    """Nominal bytes of one lane's state on N sites, the unit of block_lanes."""
+    return 10 * n_sites + LANE_BYTES
+
+
 def block_lanes(n_sites) -> int:
-    """Lanes per block of replicas: as many as BLOCK_BYTES of lane state
-    holds, at least one.  A function of the lattice size alone, it fixes the
-    streams, and a block is the unit the replica driver steps as one task."""
-    return max(1, BLOCK_BYTES // (10 * n_sites + LANE_BYTES))
+    """Lanes per block of replicas: as many as BLOCK_BYTES of nominal lane
+    state holds, at least one.  A function of the lattice size alone, it
+    fixes the streams; the replica driver steps whole blocks, several to a
+    task."""
+    return max(1, BLOCK_BYTES // lane_bytes(n_sites))
 
 
 def replica_rng(master_seed, *key) -> np.random.Generator:
@@ -124,7 +135,8 @@ def rates_from_scratch(config: SpinConfig, params: ModelParams):
 
 def _partition(active):
     """(members, pos) per row: active sites in index order, then passive ones;
-    pos inverts members.  Equal to a stable argsort of ~active, in int32."""
+    pos inverts members.  Equal to a stable argsort of ~active, in int32;
+    the caller stores them in its slot type."""
     sites = np.arange(active.shape[1], dtype=np.int32)
     pos = np.cumsum(active, axis=1, dtype=np.int32)
     # a passive site's slot: the active count plus the passive sites before it
@@ -185,8 +197,10 @@ class Simulation:
             self.sums = kernel.feature_sums(sigma == k)
         self.config = SpinConfig(lattice, k, sigma)
         # per lane: active sites first, then passive; _pos inverts _members.
-        # Built a block's worth of lanes at a time, which bounds the transients.
-        self._members, self._pos = np.empty(sigma.shape, np.int32), np.empty(sigma.shape, np.int32)
+        # Slots take the narrowest unsigned type that holds a site index, and
+        # are built a block's worth of lanes at a time, which bounds the transients.
+        slots = np.min_scalar_type(n_sites - 1)
+        self._members, self._pos = np.empty(sigma.shape, slots), np.empty(sigma.shape, slots)
         for lo in range(0, len(reps), width):
             self._members[lo:lo + width], self._pos[lo:lo + width] = _partition(
                 sigma[lo:lo + width] == k)
@@ -196,6 +210,7 @@ class Simulation:
         self._round = np.ones(len(reps), np.int64)  # round of each lane's next proposal
         self._events = np.zeros(len(reps), np.int64)
         self.proposals = self.passive_proposals = self.passive_accepted = self.toggles = 0
+        self.rounds = 0  # Philox rounds drawn, one per (block, round) a step reads
         # a passive intensity is at most norm_inf / N per active site
         self._unit_bound = params.kernel.norm_inf / n_sites
 
@@ -219,7 +234,8 @@ class Simulation:
         return {"replicas": len(self.time), "events": self.events, "toggles": self.toggles,
                 "proposals": self.proposals, "passive_proposals": self.passive_proposals,
                 "passive_accepted": self.passive_accepted,
-                "replicas_absorbed": int(np.count_nonzero(self.lane_absorbed()))}
+                "replicas_absorbed": int(np.count_nonzero(self.lane_absorbed())),
+                "rounds": self.rounds}
 
     # -- rate bookkeeping ------------------------------------------------
 
@@ -305,6 +321,7 @@ class Simulation:
         order = np.argsort(tags, kind="stable")
         tags = tags[order]
         cuts = (np.flatnonzero(tags[1:] != tags[:-1]) + 1).tolist()
+        self.rounds += len(cuts) + 1
         out = np.empty((3, len(lanes)))
         for lo, hi in zip([0] + cuts, cuts + [len(lanes)]):
             run = order[lo:hi]

@@ -213,6 +213,39 @@ def test_replica_path_independent_of_its_companions(n):
         assert np.array_equal(_paths(u0, p, 9, range(r, r + 1), times), full[r:r + 1])
 
 
+@pytest.mark.parametrize("d, n, k", [(1, 16, 1), (1, 300, 2), (2, 4, 2), (2, 17, 1)],
+                         ids=["d1-k1-uint8", "d1-k2-uint16", "d2-k2-uint8", "d2-k1-uint16"])
+def test_blocks_stepped_together_match_each_block_alone(d, n, k):
+    # one Simulation over a range that starts mid-block and ends in a partial
+    # block steps every lane as the Simulations of its blocks stepped alone
+    # do, leg after leg, whatever the width of its partition slots
+    p = _params(n=n, k=k, a=1.0, kernel=KernelSpec.cosine(0.5), d=d)
+    n_sites = p.lattice.n_sites
+    u0 = _uniform_field(p, np.full(k + 1, 1.0 / (k + 1)))
+    width = block_lanes(n_sites)
+    reps = range(width // 2, 2 * width + width // 3)
+    pieces = [range(max(lo, reps.start), min(lo + width, reps.stop))
+              for lo in range(0, reps.stop, width)]
+    together, alone = Simulation(u0, p, 5, reps), [Simulation(u0, p, 5, r) for r in pieces]
+    assert len(pieces) == 3 and together._members.dtype == np.min_scalar_type(n_sites - 1)
+    for t in (0.2, 0.5):
+        together.simulate_until([t])
+        for sim in alone:
+            sim.simulate_until([t])
+        for name in ("time", "_round", "_pending"):
+            assert np.array_equal(getattr(together, name),
+                                  np.concatenate([getattr(s, name) for s in alone]),
+                                  equal_nan=True)
+        assert np.array_equal(together.config.sigma,
+                              np.concatenate([s.config.sigma for s in alone]))
+        counters = together.counters()
+        assert counters == {key: sum(s.counters()[key] for s in alone) for key in counters}
+        assert counters["rounds"] > 0
+    together.check_integrity()
+    for sim in alone:
+        sim.check_integrity()
+
+
 def test_checkpoint_consistency_bitwise():
     # observation times consume no randomness: lanes paused at different
     # rounds resume on their own counters
@@ -380,16 +413,38 @@ def test_simulator_matches_master_equation_k2(spec):
     # thinning of passive proposals, against the enumerated forward equation;
     # on 3 sites a translation-invariant kernel has equal off-diagonal entries
     # and accepts every proposal, so only the random table exercises rejection
-    from gcp_hydro.entropy import (StateSpace, master_evolve, profile_law,
-                                   site_state_marginals)
-    n, k, t, reps = 3, 2, 0.6, 20_000
+    n, k = 3, 2
     p = _params(n=n, k=k, a=1.0, kernel=spec)
     u0 = DensityField(p.lattice, k, np.tile([0.3, 0.3, 0.4], (n, 1)))
-    space = StateSpace(p.lattice, k)
+    _assert_matches_master_equation(p, u0, 0.6, 20_000, 43)
+
+
+@pytest.mark.parametrize("spec", [
+    KernelSpec.cosine(0.5),
+    KernelSpec.tabulated(np.random.default_rng(53).uniform(0.0, 3.0, (9, 9))),
+], ids=["cosine", "tabulated"])
+def test_simulator_matches_master_equation_d2(spec):
+    # a 3x3 torus at k = 1 (512 states): the cosine kernel reads a passive
+    # intensity through its 3^2 features, the random table through its rows;
+    # a site-dependent start keeps the sites apart, and the replicas span
+    # several blocks of lanes
+    p = _params(n=3, k=1, a=1.0, kernel=spec, d=2)
+    top = np.random.default_rng(59).uniform(0.3, 0.7, 9)
+    u0 = DensityField(p.lattice, 1, np.stack([1.0 - top, top], axis=1))
+    assert 20_000 > 6 * block_lanes(9)
+    _assert_matches_master_equation(p, u0, 0.6, 20_000, 61)
+
+
+def _assert_matches_master_equation(p, u0, t, reps, seed):
+    # each site's state frequencies over the replicas lie within 4 standard
+    # errors of the exact law's marginals
+    from gcp_hydro.entropy import (StateSpace, master_evolve, profile_law,
+                                   site_state_marginals)
+    space = StateSpace(p.lattice, p.k)
     law = master_evolve(profile_law(u0, space), p, space, t, 0.005)
     exact = site_state_marginals(law.laws[-1], space)
-    sigma = Simulation(u0, p, 43, reps).simulate_until([t])[0].config.sigma
-    emp = np.stack([np.mean(sigma == s, axis=0) for s in range(k + 1)], axis=1)
+    sigma = Simulation(u0, p, seed, reps).simulate_until([t])[0].config.sigma
+    emp = np.stack([np.mean(sigma == s, axis=0) for s in range(p.k + 1)], axis=1)
     se = np.sqrt(np.maximum(exact * (1.0 - exact), 1e-12) / reps)
     assert np.max(np.abs(emp - exact) / se) < 4.0
 

@@ -1,5 +1,5 @@
 """The random streams, pinned: sha256 digests of two small runs' CSVs, and
-one Philox round drawn per vectorized step of the replica driver.
+the Philox rounds a replica task draws for the blocks it steps together.
 
 A replica's path is a pure function of (seed, n, replica), so a refactor of
 the simulator or of the replica driver must leave these bytes alone.  A
@@ -37,12 +37,14 @@ def test_stream_digest_pinned(experiment, tmp_path):
             for name in digests} == digests
 
 
-def test_one_philox_round_per_vectorized_step(monkeypatch):
-    # each block runs as its own Simulation, so every step of the driver
-    # draws exactly one round of its block, never one per block stepped
+def test_task_draws_each_blocks_rounds_once(monkeypatch):
+    # a task steps whole blocks as one Simulation, and a vectorized step draws
+    # one round per block it steps: the task draws exactly the rounds of its
+    # blocks stepped alone, in as many steps as the longest of them takes
     cfg = load_config("clt-check", None, ["replicas=1000", "n_list=[256]", "times=[0.1]"])
-    n, t = 256, 0.1
-    assert cfg["replicas"] > 2 * block_lanes(n)  # three blocks, the last partial
+    n, t, replicas = 256, 0.1, cfg["replicas"]
+    lanes = block_lanes(n)
+    assert 2 * lanes < replicas < 3 * lanes  # three blocks, the last partial
     monkeypatch.delenv("GCP_HYDRO_WORKERS", raising=False)
     calls = {"_draws": 0, "_round_columns": 0}
 
@@ -56,8 +58,17 @@ def test_one_philox_round_per_vectorized_step(monkeypatch):
     for name in calls:
         monkeypatch.setattr(Simulation, name, counted(name))
     params, u0 = _system(cfg, n)
+    alone = []
+    for lo in range(0, replicas, lanes):
+        calls.update(dict.fromkeys(calls, 0))
+        sim = Simulation(u0, params, cfg["seed"], range(lo, min(lo + lanes, replicas)))
+        sim.simulate_until([t])
+        assert sim.rounds == calls["_round_columns"] == calls["_draws"] > 0
+        alone.append(dict(calls))
+    calls.update(dict.fromkeys(calls, 0))
     u_t, _ = final_density(u0, params, t, cfg["h"])
     _, counters = _replica_tasks(cfg, n, t, u_t)
-    assert counters["replicas"] == cfg["replicas"] and counters["events"] > 0
-    assert calls["_draws"] > 0
-    assert calls["_round_columns"] == calls["_draws"]
+    assert counters["replicas"] == replicas and counters["events"] > 0
+    assert calls["_round_columns"] == counters["rounds"] == sum(
+        c["_round_columns"] for c in alone)
+    assert calls["_draws"] == max(c["_draws"] for c in alone)
