@@ -30,10 +30,11 @@ A system whose kernel is circulant (a catalog kernel, not a tabulated
 one) and whose initial density has equal rows has a law that
 stays invariant under the torus translations, with a density that stays
 homogeneous.  The report then steps the law on the translation orbits
-(``OrbitOperator``): about S/N orbit masses, a sparse generator with N
-entries per orbit, and functionals that read the density at site 0.  The
-orbit numbers come from the least index over all translations, each a
-transposed copy of the index array, so no digit table is built.  Both
+(``OrbitOperator``): about S/N orbit masses, a generator in pull form that
+gathers, for each orbit, the masses of the N orbits that jump into it, and
+functionals that read the density at site 0.  The orbit numbers come from
+the least index over all translations, each a transposed copy of the index
+array, so no digit table is built.  Both
 operators offer ``apply``, ``profile_law``, ``relative_entropy`` and
 ``production_expectation``, and ``law_steps`` marches either.
 """
@@ -95,20 +96,6 @@ class StateSpace:
             stride *= self.size // self._low
         return (-1, self.k + 1, stride)
 
-    def index_of(self, sigma) -> int:
-        sigma = np.asarray(sigma, dtype=np.int64)
-        return int((sigma * self.strides).sum())
-
-    def config_of(self, index) -> np.ndarray:
-        return self.digits[int(index)].astype(np.int16)
-
-    def shift_permutation(self, offset) -> np.ndarray:
-        """perm[s] = index of the configuration translated by the lattice offset."""
-        site_perm = self.lattice.shift_permutation(offset)
-        # translated config at site_perm[x] equals original at x
-        new_strides = self.strides[site_perm]
-        return (self.digits.astype(np.int64) @ new_strides).astype(np.int64)
-
 
 def _clamp_law(law, atol=1e-9) -> float:
     """validate_law in place on a float array: returns the negative mass it
@@ -133,16 +120,6 @@ def validate_law(law, atol=1e-9) -> np.ndarray:
         law = law.copy()
     _clamp_law(law, atol)
     return law
-
-
-def profile_prob(sigma, u: DensityField) -> float:
-    """Product probability of one configuration under the per-site marginals."""
-    sigma = np.asarray(sigma, dtype=np.int64)
-    factors = u.u[np.arange(len(sigma)), sigma]
-    if np.any(factors <= 0.0):
-        raise ValueError("configuration hits a zero marginal; positive profiles "
-                         "are required here")
-    return float(np.prod(factors))
 
 
 def profile_law(u: DensityField, space: StateSpace, out=None) -> np.ndarray:
@@ -354,21 +331,29 @@ def translation_orbits(space: StateSpace):
 
 class OrbitOperator:
     """Forward operator of a translation-invariant law, lumped on the
-    translation orbits of the configurations.
+    translation orbits of the configurations, in pull form.
 
     With a circulant kernel the generator commutes with the torus
     translations, so a law that starts invariant stays invariant and is
     exactly its orbit masses q(O), each spread evenly over the orbit.  The
-    lumped rate from orbit O into O' is the rate of the orbit's least
-    configuration rep_O into O' summed over its N sites, so the operator is
-    a sparse matrix with N entries per orbit, stored sorted by target:
-    ``apply`` gathers q at the sources, scales by the rates and sums each
-    target's run with ``np.add.reduceat``, then takes off exit * q.
+    flux into orbit T is |T| times the flux into its least configuration
+    rep_T, which is entered from N configurations sigma^x, rep_T with site x
+    moved one state back (i -> i-1, and 0 -> k).  The jump at x leaves
+    sigma^x at rate a when rep_T's digit at x is 0, and at the intensity
+    intensity_x(sigma^x) = intensity_x(rep_T) otherwise, as the kernel's
+    diagonal is zero.  So with S[T, x] the orbit of sigma^x and
+    W[T, x] = |T| rate / |S[T, x]|,
+
+        out[T] = sum_x W[T, x] q(S[T, x]) - exit[T] q(T),
+
+    and ``apply`` is one gather of q into an (orbits, N) workspace, one
+    row-wise dot with W and the exit term.
 
     The report's functionals need the density at one site only, as it stays
     homogeneous: the product measure of orbit O is |O| prod_i u_i^C[O, i],
-    C[O, i] the number of sites of rep_O in state i, and the production's
-    intensity moments are W[O, i] = sum_x 1{rep_O,x = i} intensity_x(rep_O).
+    C[O, i] the number of sites of rep_O in state i, read from a table of
+    the powers of u_i, and the production's intensity moments are
+    M[O, i] = sum_x 1{rep_O,x = i} intensity_x(rep_O).
     """
 
     engine = "orbits"
@@ -383,58 +368,60 @@ class OrbitOperator:
         n_sites, k = space.lattice.n_sites, space.k
         orbit, self.reps, self.sizes = translation_orbits(space)
         self.size = len(self.reps)
-        digits = self.reps[:, None] // space.strides % (k + 1)        # of the reps, (M, N)
+        digits = self.reps[:, None] // space.strides
+        digits %= k + 1
+        digits = digits.astype(np.uint8)                               # of the reps, (M, N)
+        # S: the orbit of each sigma^x, gathered in place (the gather reads
+        # each index before it writes that slot)
+        source = np.where(digits > 0, -space.strides, k * space.strides)
+        source += self.reps[:, None]
+        self._source = np.take(orbit, source, out=source, mode="clip")
+        del orbit
+        # the gathered masses, and the exit term or the product measure; the
+        # first holds the active sites, then the sources' sizes, while W is built
+        self.workspace = (np.empty(source.shape), np.empty(self.size))
+        gathered = self.workspace[0]
         J = params.kernel.matrix / n_sites
         self.J0 = J[0]   # c reads site 0's row
-        rate = (digits == k) @ J.T                                   # the intensities
+        rate = np.equal(digits, k, out=gathered) @ J.T                # the intensities
         self.site_counts = np.stack([np.sum(digits == i, axis=1) for i in range(k + 1)], axis=1)
         self.moments = np.stack([np.sum(rate, axis=1, where=digits == i)
                                  for i in range(k + 1)], axis=1)
-        rate[digits == k] = params.a
-        self.exit_rate = rate.sum(axis=1)
-        target = np.where(digits < k, space.strides, -k * space.strides)
+        self.exit_rate = np.sum(rate, axis=1, where=digits < k) + params.a * self.site_counts[:, k]
+        rate[digits == 0] = params.a
         del digits
-        target += self.reps[:, None]
-        target = orbit[target].ravel()
-        del orbit
-        # sorted by target, each target's entries in a run; every orbit is
-        # entered from one (undo a jump of its rep, translate), so no run is
-        # empty, as reduceat needs
-        order = np.argsort(target, kind="stable")
-        runs = np.bincount(target, minlength=self.size)
-        del target
-        self._starts = np.cumsum(runs) - runs
-        self._rate = rate.ravel()[order]
-        del rate
-        order //= n_sites
-        self._source = order
-        # the flux entries, and the exit term or the product measure
-        self.workspace = (np.empty(len(order)), np.empty(self.size))
+        rate *= self.sizes[:, None]
+        rate /= np.take(self.sizes.astype(float), source, out=gathered, mode="clip")
+        self._weight = rate
 
     @property
     def operator_bytes(self) -> int:
-        """Bytes of the orbit tables, the sparse generator and the workspace."""
+        """Bytes of the orbit tables, the pull generator and the workspace."""
         return sum(a.nbytes for a in (self.reps, self.sizes, self.site_counts, self.moments,
-                                      self.J0, self.exit_rate, self._source, self._rate,
-                                      self._starts) + self.workspace)
+                                      self.J0, self.exit_rate, self._source, self._weight)
+                   + self.workspace)
 
     def apply(self, law, out) -> np.ndarray:
         """The lumped generator applied to an orbit law, written to out and
         returned; out and law are distinct."""
         self.applies += 1
-        flux, exits = self.workspace
-        np.take(law, self._source, out=flux, mode="clip")   # "raise" copies through a buffer
-        flux *= self._rate
-        np.add.reduceat(flux, self._starts, out=out)
+        gathered, exits = self.workspace
+        np.take(law, self._source, out=gathered, mode="clip")   # "raise" copies through a buffer
+        np.einsum("ij,ij->i", self._weight, gathered, out=out)
         out -= np.multiply(self.exit_rate, law, out=exits)
         return out
 
     def profile_law(self, u: DensityField, out=None) -> np.ndarray:
-        """The product measure of site 0's marginals, lumped on orbits."""
+        """The product measure of site 0's marginals, lumped on orbits: each
+        factor u_i^C[O, i] read from a table of u_i's powers 0..N."""
         u0 = u.u[0]
         if np.min(u0) <= 0.0:
             raise ValueError("profile measure needs strictly positive marginals")
-        return np.multiply(self.sizes, np.prod(u0 ** self.site_counts, axis=1), out=out)
+        powers = np.power.outer(u0, np.arange(self.space.lattice.n_sites + 1))
+        out = np.multiply(self.sizes, powers[0][self.site_counts[:, 0]], out=out)
+        for i in range(1, self.space.k + 1):
+            out *= powers[i][self.site_counts[:, i]]
+        return out
 
     def relative_entropy(self, law, u: DensityField) -> float:
         """The relative entropy of the law against the product measure: on
@@ -445,8 +432,8 @@ class OrbitOperator:
     def production_expectation(self, law, u: DensityField) -> float:
         """E_law of the closed production functional, sum_O q(O) F(rep_O): with
         h site 0's centred coefficients and c = (J/N u^k) at site 0,
-        F = sum_i h(i) (W[:, i] - c C[:, i]).  Forming F before the sum over
-        orbits keeps its terms small: summing q W and c q C apart, each about
+        F = sum_i h(i) (M[:, i] - c C[:, i]).  Forming F before the sum over
+        orbits keeps its terms small: summing q M and c q C apart, each about
         N times a site's share, lost a digit to their cancellation."""
         uu = u.u
         if np.min(uu) <= 0.0:
@@ -520,13 +507,6 @@ def _law_matrix(law, space: StateSpace):
     return P, P.sum(axis=1), P.sum(axis=0)
 
 
-def site_state_marginals(law, space: StateSpace) -> np.ndarray:
-    """(N, k+1) matrix of P(sigma_x = i) under the given law, read from the
-    row and column sums of the law's matrix (``_law_matrix``)."""
-    _, rows, cols = _law_matrix(law, space)
-    return _site_digit_sums(cols, rows, space)
-
-
 # -- production functional ---------------------------------------------------
 
 def _g_table(u: DensityField) -> np.ndarray:
@@ -539,37 +519,6 @@ def _g_table(u: DensityField) -> np.ndarray:
         g[:, i] = (uu[:, i - 1] - uu[:, i]) / uu[:, i]
     g[:, k] = uu[:, k - 1] / uu[:, k]
     return g
-
-
-def F_closed(sigma, u: DensityField, params: ModelParams) -> float:
-    """Closed form: sum_x (sum_i g_x^i w_x^i) (J^n * w^k)_x."""
-    uu = u.u
-    if np.min(uu) <= 0.0:
-        raise ValueError("closed-form production needs strictly positive marginals")
-    sigma = np.asarray(sigma, dtype=np.int64)
-    n_sites = len(sigma)
-    g = _g_table(u)
-    wk = (sigma == u.k).astype(float) - uu[:, u.k]
-    gw = g[np.arange(n_sites), sigma] - np.sum(g * uu, axis=1)
-    return float(np.sum(gw * params.kernel.conv(wk)))
-
-
-def F_direct(sigma, u: DensityField, dudt, params: ModelParams) -> float:
-    """First-principles production: adjoint applied to 1 minus d/dt log mu."""
-    uu = u.u
-    if np.min(uu) <= 0.0:
-        raise ValueError("production functional needs strictly positive marginals")
-    sigma = np.asarray(sigma, dtype=np.int64)
-    n_sites = len(sigma)
-    k = params.k
-    sites = np.arange(n_sites)
-    active = (sigma == k).astype(float)
-    inten = params.kernel.conv(active)
-    ratio = uu[sites, (sigma - 1) % (k + 1)] / uu[sites, sigma]
-    birth = (params.a * (sigma == 0) + inten * (sigma != 0)) * ratio
-    death = params.a * (sigma == k) + inten * (sigma != k)
-    log_deriv = np.asarray(dudt)[sites, sigma] / uu[sites, sigma]
-    return float(np.sum(birth - death - log_deriv))
 
 
 def F_closed_all(space: StateSpace, u: DensityField, params: ModelParams) -> np.ndarray:
@@ -586,25 +535,6 @@ def F_closed_all(space: StateSpace, u: DensityField, params: ModelParams) -> np.
     out = np.zeros(space.size)
     for x in range(n_sites):
         out += (g[x, space.digits[:, x]] - gu[x]) * conv[:, x]
-    return out
-
-
-def F_direct_all(space: StateSpace, u: DensityField, dudt, params: ModelParams) -> np.ndarray:
-    """Vectorized first-principles production over the whole enumeration."""
-    uu = u.u
-    n_sites = space.lattice.n_sites
-    k = params.k
-    J = params.kernel.matrix
-    active = (space.digits == k).astype(float)
-    inten = active @ (J.T / n_sites)
-    dudt = np.asarray(dudt)
-    out = np.zeros(space.size)
-    for x in range(n_sites):
-        digit = space.digits[:, x].astype(np.int64)
-        ratio = uu[x, (digit - 1) % (k + 1)] / uu[x, digit]
-        birth = (params.a * (digit == 0) + inten[:, x] * (digit != 0)) * ratio
-        death = params.a * (digit == k) + inten[:, x] * (digit != k)
-        out += birth - death - dudt[x, digit] / uu[x, digit]
     return out
 
 

@@ -9,14 +9,13 @@ import time
 
 import numpy as np
 
-from gcp_hydro.entropy import (StateSpace, F_closed_all, F_direct_all,
-                               master_evolve, profile_law,
-                               site_state_marginals)
+from gcp_hydro.entropy import StateSpace, F_closed_all, master_evolve, profile_law
 from gcp_hydro.experiments import load_config, run
 from gcp_hydro.gcp import Simulation
 from gcp_hydro.hydro import DensityField, ModelParams, drift, profile_field
 from gcp_hydro.lattice import KernelSpec, TorusLattice, discretize
 from gcp_hydro.profiles import InitialProfile
+from oracles import F_direct_all, site_state_marginals
 
 SEED = 20260810
 

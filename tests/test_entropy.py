@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gcp_hydro.entropy import (MasterOperator, OrbitOperator, StateSpace,
-                               F_closed, F_closed_all, F_direct, F_direct_all,
+from gcp_hydro.entropy import (MasterOperator, OrbitOperator, StateSpace, F_closed_all,
                                entropy_production_check, fit_envelope_constant,
                                law_steps, master_evolve, production_expectation, profile_law,
-                               profile_prob, relative_entropy, site_state_marginals,
-                               double_exp_envelope, translation_orbits, validate_law)
+                               relative_entropy, double_exp_envelope, translation_orbits,
+                               validate_law)
 from gcp_hydro.experiments import _system, load_config, run
 from gcp_hydro.hydro import DensityField, ModelParams, drift, integrate
 from gcp_hydro.lattice import DiscreteKernel, KernelSpec, TorusLattice, discretize
+from oracles import (F_closed, F_direct, F_direct_all, config_of, index_of, profile_prob,
+                     shift_permutation, site_state_marginals)
 
 
 def _params(n=3, k=1, a=1.0, kernel=None, d=1):
@@ -39,9 +40,9 @@ def test_state_space_codec_bijection():
     space = StateSpace(TorusLattice(1, 4), 2)
     assert space.size == 81
     for idx in range(81):
-        assert space.index_of(space.config_of(idx)) == idx
-    np.testing.assert_array_equal(space.config_of(0), [0, 0, 0, 0])
-    np.testing.assert_array_equal(space.config_of(80), [2, 2, 2, 2])
+        assert index_of(space, config_of(space, idx)) == idx
+    np.testing.assert_array_equal(config_of(space, 0), [0, 0, 0, 0])
+    np.testing.assert_array_equal(config_of(space, 80), [2, 2, 2, 2])
 
 
 def test_state_space_cap():
@@ -89,7 +90,7 @@ def test_profile_law_sums_to_one():
     mu = profile_law(_random_field(p, rng), space)
     assert abs(mu.sum() - 1.0) < 1e-10
     np.testing.assert_allclose(
-        mu[5], profile_prob(space.config_of(5), _random_field(_params(n=4, k=2), np.random.default_rng(0))), atol=1e-15)
+        mu[5], profile_prob(config_of(space, 5), _random_field(_params(n=4, k=2), np.random.default_rng(0))), atol=1e-15)
 
 
 def test_relative_entropy_examples():
@@ -164,7 +165,7 @@ def test_master_evolve_commutes_with_translation():
     u = rng.uniform(0.2, 0.8, (4, 2))
     u /= u.sum(axis=1, keepdims=True)
     law0 = profile_law(DensityField(p.lattice, 1, u), space)
-    perm = space.shift_permutation(1)
+    perm = shift_permutation(space, 1)
     shifted_first = np.empty_like(law0)
     shifted_first[perm] = law0
     a = master_evolve(shifted_first, p, space, 0.5, 0.01).laws[-1]
@@ -212,7 +213,7 @@ def test_F_direct_equals_F_closed_small_systems():
             fd = F_direct_all(space, u, du, p)
             assert np.max(np.abs(fc - fd)) < 1e-10
             idx = rng.integers(space.size)
-            sigma = space.config_of(idx)
+            sigma = config_of(space, idx)
             assert F_closed(sigma, u, p) == pytest.approx(fc[idx], abs=1e-12)
             assert F_direct(sigma, u, du, p) == pytest.approx(fd[idx], abs=1e-12)
 
@@ -306,13 +307,14 @@ def test_orbit_operator_bytes_count_its_tables_generator_and_workspace(d, n, k):
     p = _params(n=n, k=k, d=d, kernel=KernelSpec.cosine(0.5))
     op = OrbitOperator(StateSpace(p.lattice, k), p)
     arrays = (op.reps, op.sizes, op.site_counts, op.moments, op.J0, op.exit_rate,
-              op._source, op._rate, op._starts) + op.workspace
+              op._source, op._weight) + op.workspace
     assert op.operator_bytes == sum(a.nbytes for a in arrays)
-    # per orbit its rep, size, exit rate, run start and exit buffer, two
-    # (k+1)-tables, and N generator entries (source, rate, flux buffer);
-    # site 0's kernel row
+    # per orbit its rep, size, exit rate and exit buffer, two (k+1)-tables,
+    # and N generator entries (source orbit, weight, gathered mass); site 0's
+    # kernel row
     m, n_sites = op.size, n ** d
-    assert op.operator_bytes == 8 * (5 * m + 2 * m * (k + 1) + 3 * m * n_sites + n_sites)
+    assert op._source.shape == op._weight.shape == op.workspace[0].shape == (m, n_sites)
+    assert op.operator_bytes == 8 * (4 * m + 2 * m * (k + 1) + 3 * m * n_sites + n_sites)
     u0 = DensityField(p.lattice, k, np.full((n_sites, k + 1), 1 / (k + 1)))
     rep = entropy_production_check(p, u0, 0.02, 0.01)
     assert rep.metrics["entropy"]["engine"] == "orbits"
@@ -360,10 +362,12 @@ def test_entropy_report_peak_memory_in_laws():
 
 def test_orbit_report_peak_memory_in_laws():
     # at a constant profile the peak is the orbit build: three S-sized index
-    # arrays for the orbit numbers, then about N entries per orbit (the
-    # reps' digits, their rates and jump targets, the sort order).  5.7 laws
-    # of S doubles measured, bounded with one to spare; the operator keeps
-    # 3.7 (three N-entry arrays per orbit), and the law march is on orbits
+    # arrays for the orbit numbers, then N entries per orbit (the source
+    # orbits, gathered in place, the rates, scaled in place into the pull
+    # weights, and the workspace, which holds the active sites and then the
+    # sources' sizes).  4.3 laws of S doubles measured, 5.7 when the build
+    # sorted a push-form generator by target; the operator keeps 3.6 (three
+    # N-entry arrays per orbit), and the law march is on orbits
     p = _params(n=14, k=1, kernel=KernelSpec.cosine(0.5))
     u0 = DensityField(p.lattice, 1, np.tile([0.6, 0.4], (14, 1)))
     law_bytes = 8 * 2 ** 14
@@ -488,13 +492,13 @@ def _generator_matrix(space, params):
     J = params.kernel.matrix
     G = np.zeros((space.size, space.size))
     for s in range(space.size):
-        sigma = space.config_of(s).astype(np.int64)
+        sigma = config_of(space, s).astype(np.int64)
         active = (sigma == k).astype(float)
         for x in range(n_sites):
             rate = params.a if sigma[x] == k else float(J[x] @ active) / n_sites
             target = sigma.copy()
             target[x] = (sigma[x] + 1) % (k + 1)
-            G[space.index_of(target), s] += rate
+            G[index_of(space, target), s] += rate
             G[s, s] -= rate
     return G
 
@@ -591,7 +595,7 @@ def test_relative_entropy_and_marginals_match_per_state_loops(system):
     u = _random_field(params, rng)
     entropy, marginals = 0.0, np.zeros((space.lattice.n_sites, space.k + 1))
     for s in range(space.size):
-        sigma = space.config_of(s)
+        sigma = config_of(space, s)
         if law[s] > 0.0:
             entropy += law[s] * math.log(law[s] / profile_prob(sigma, u))
         marginals[np.arange(len(sigma)), sigma] += law[s]
@@ -607,7 +611,7 @@ def _orbit_numbers(space, op):
     translations (``shift_permutation``), numbered as in op.reps."""
     least = np.arange(space.size)
     for offset in itertools.product(range(space.lattice.n), repeat=space.lattice.d):
-        least = np.minimum(least, space.shift_permutation(offset))
+        least = np.minimum(least, shift_permutation(space, offset))
     number = np.searchsorted(op.reps, least)
     np.testing.assert_array_equal(op.reps[number], least)
     return number
@@ -683,6 +687,33 @@ def test_orbit_report_matches_the_full_engine(d, n, k, kernel):
         assert rep.production_rhs[i] == pytest.approx(full.production_expectation(law, u_i),
                                                       rel=0, abs=1e-13)
     assert i == 30 and rep.inequality_holds()
+
+
+@pytest.mark.parametrize("d, n", [(1, 20), (2, 4)])
+def test_orbit_apply_conserves_mass(d, n):
+    # every orbit's outflow re-enters the orbits it jumps into: the sum of
+    # apply(q) vanishes for any q, a check that reads no state-space engine
+    p = _params(n=n, k=1, a=0.7, d=d, kernel=KernelSpec.cosine(0.5))
+    op = OrbitOperator(StateSpace(p.lattice, 1), p)
+    assert op.size == {(1, 20): 52488, (2, 4): 4156}[(d, n)]
+    rng = np.random.default_rng(20 * d + n)
+    out = np.empty(op.size)
+    for q in (rng.dirichlet(np.ones(op.size)), rng.standard_normal(op.size)):
+        scale = float(np.sum(op.exit_rate * np.abs(q)))
+        assert abs(np.sum(op.apply(q, out))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("d, n, k, kernel", _ORBIT_SYSTEMS + [(2, 3, 2, KernelSpec.cosine(0.5))])
+def test_density_solve_keeps_a_constant_profile_homogeneous(d, n, k, kernel):
+    # the orbit engine's functionals read site 0's row of the density alone;
+    # in d = 1 every row stays equal to it bit for bit, and on a torus the
+    # rows may spread by ulps: 5.6e-17 measured on the 3x3 torus with the
+    # cosine kernel at k = 2, 0.0 in the other cases
+    p = _params(n=n, k=k, d=d, kernel=kernel)
+    base = [0.6, 0.4] if k == 1 else [0.3, 0.3, 0.4]
+    u0 = DensityField(p.lattice, k, np.tile(base, (n ** d, 1)))
+    spread = float(np.max(np.ptp(integrate(u0, p, 0.3, h=0.01).u, axis=1)))
+    assert spread <= (0.0 if d == 1 else 1e-15), spread
 
 
 @pytest.mark.parametrize("kernel, varies, engine", [

@@ -9,6 +9,7 @@ from gcp_hydro.fields import (TestFunction, carre_du_champ, centered_field,
 from gcp_hydro.gcp import SpinConfig, rates_from_scratch, replica_rng, sample_initial
 from gcp_hydro.hydro import DensityField, ModelParams
 from gcp_hydro.lattice import KernelSpec, TorusLattice, discretize
+from oracles import config_of
 
 
 def _params(n=8, k=1, a=1.0, kernel=None):
@@ -175,7 +176,7 @@ def test_carre_du_champ_of_a_stack_is_each_configurations(kernel):
     f = TestFunction.cos_mode(1)
     for i, j in ((0, 0), (1, 2), (2, 1), (2, 2)):
         stacked = carre_du_champ(SpinConfig(p.lattice, 2, space.digits), p, f, i, j)
-        each = [carre_du_champ(SpinConfig(p.lattice, 2, space.config_of(s)), p, f, i, j)
+        each = [carre_du_champ(SpinConfig(p.lattice, 2, config_of(space, s)), p, f, i, j)
                 for s in range(space.size)]
         assert stacked.shape == (space.size,)
         assert np.max(np.abs(stacked - each)) <= 1e-15

@@ -438,8 +438,8 @@ def test_simulator_matches_master_equation_d2(spec):
 def _assert_matches_master_equation(p, u0, t, reps, seed):
     # each site's state frequencies over the replicas lie within 4 standard
     # errors of the exact law's marginals
-    from gcp_hydro.entropy import (StateSpace, master_evolve, profile_law,
-                                   site_state_marginals)
+    from gcp_hydro.entropy import StateSpace, master_evolve, profile_law
+    from oracles import site_state_marginals
     space = StateSpace(p.lattice, p.k)
     law = master_evolve(profile_law(u0, space), p, space, t, 0.005)
     exact = site_state_marginals(law.laws[-1], space)
